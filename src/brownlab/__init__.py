@@ -17,18 +17,15 @@ from .ncpoly import (
     circular_word_traces,
 )
 from .rmtcore import (
-    GinibreSample,
     SpectrumSample,
     SingularSpectrum,
     DecompositionError,
     stream,
-    sample_ginibre,
     ginibre_matrix,
     ginibre_tuple,
     haar_unitary,
     esd,
     singular_values,
-    operator_norm_check,
 )
 from .linearize import (
     Linearization,
@@ -43,7 +40,8 @@ from .pseudospec import (
     GridSpec,
     GridField,
     TailEstimate,
-    smin_map,
+    trial_tuple,
+    trial_matrix,
     smin_map_full,
     tail_estimate,
     smin_shifted_tail,

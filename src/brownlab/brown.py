@@ -25,9 +25,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from ._pool import parallel_map
-from .ncpoly import evaluate
-from .pseudospec import GridField, GridSpec
-from .rmtcore import STREAM_GINIBRE, DecompositionError, ginibre_tuple, stream
+from .pseudospec import GridField, GridSpec, trial_matrix
+from .rmtcore import DecompositionError
 
 __all__ = [
     "LogPotentialField",
@@ -117,9 +116,7 @@ def log_potential(p, N, grid, trials, floor=None, seed=0, threads=None, method="
     nodes_flat = grid.nodes().ravel()
 
     def one(trial):
-        rng = stream(seed, STREAM_GINIBRE, trial)
-        P = evaluate(p, ginibre_tuple(p.num_vars, N, rng))
-        return _h_one_sample(P, nodes_flat, floor, method)
+        return _h_one_sample(trial_matrix(p, N, seed, trial), nodes_flat, floor, method)
 
     results = parallel_map(one, range(trials), threads)
     h = np.mean([r[0] for r in results], axis=0).reshape(grid.nx, grid.ny)
@@ -145,6 +142,16 @@ class BrownEstimate:
 
     def interior_nodes(self):
         return self.grid.nodes()[1:-1, 1:-1]
+
+    def density_field(self):
+        """The density on the grid of the interior nodes."""
+        g = self.grid
+        interior = GridSpec(
+            re_min=g.re_min + g.dx, re_max=g.re_max - g.dx,
+            im_min=g.im_min + g.dy, im_max=g.im_max - g.dy,
+            nx=g.nx - 2, ny=g.ny - 2,
+        )
+        return GridField(interior, self.density)
 
 
 def brown_estimate(fld):
@@ -186,8 +193,7 @@ def stieltjes(p, N, z, eta_ladder, trials, seed, threads=None):
         raise ValueError("eta ladder must be positive")
 
     def one(trial):
-        rng = stream(seed, STREAM_GINIBRE, trial)
-        P = evaluate(p, ginibre_tuple(p.num_vars, N, rng))
+        P = trial_matrix(p, N, seed, trial)
         sv = np.linalg.svd(P - z * np.eye(N), compute_uv=False)
         masses = sv * sv
         return np.array([np.mean(1.0 / (1j * e - masses)) for e in eta])

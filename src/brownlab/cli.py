@@ -8,7 +8,19 @@ arguments reproduces byte-identical outputs regardless of --threads, and
 the digests.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
-polynomial, unsatisfiable grid), 2 numerical backend failure.
+polynomial, unsatisfiable grid), 2 numerical backend failure, numpy's
+LinAlgError included.
+
+The subcommands form one table, COMMANDS. An entry holds the name, the
+help text, the argparse additions and a run(args, p, out) body. Given the
+parsed flags, the parsed polynomial (None without --poly) and the output
+directory, a body computes, writes its files into the directory and
+returns ({output name: path}, summary line). Bodies look up library
+functions through this module's globals when they run, so a function
+replaced on this module (a fault injected by a test, a tracing wrapper)
+is the one called. One runner, dispatch, owns the rest: the polynomial,
+the output directory, timing, the manifest and the mapping from
+exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -19,26 +31,38 @@ import json
 import re
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._pool import default_threads
-from .brown import brown_estimate, compare_esd_brown, log_potential, stieltjes
-from .linearize import SingularFactorError, assemble_Lz, build_linearization, verify_schur
-from .ncpoly import ParseError, evaluate, free_moment, parse, parse_star_word
-from .pseudospec import GridSpec, pseudospectrum_area, smin_map_full, tail_estimate
-from .rmtcore import STREAM_GINIBRE, DecompositionError, esd, ginibre_tuple, stream
-from .walks import (
-    DegenerateDrawError,
-    block_column,
-    delta_report,
-    det_tail_experiment,
-    orthocomplement_basis,
+from .brown import brown_estimate, log_potential, stieltjes
+from .linearize import (
+    BlockShift,
+    SingularFactorError,
+    assemble_Lz,
+    build_linearization,
+    verify_schur,
 )
+from .ncpoly import ParseError, free_moment, parse, parse_star_word
+from .pseudospec import (
+    GridSpec,
+    pseudospectrum_area,
+    smin_map_full,
+    tail_estimate,
+    trial_matrix,
+    trial_tuple,
+)
+from .rmtcore import DecompositionError, SpectrumSample, esd
+from .walks import DegenerateDrawError, delta_report, det_tail_experiment, orthocomplement_basis
 
 __all__ = ["main", "dispatch"]
+
+# Caught before ValueError, which np.linalg.LinAlgError subclasses.
+_BACKEND_ERRORS = (DecompositionError, DegenerateDrawError, SingularFactorError,
+                   np.linalg.LinAlgError)
 
 
 class CliError(ValueError):
@@ -56,12 +80,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
-
-
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?i?\s*$"
-)
 
 
 def parse_complex(text):
@@ -141,253 +159,9 @@ def _write_manifest(outdir, command, argv, params, seed, t0, outputs):
     return path
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _poly(args):
-    try:
-        return parse(args.poly, num_vars=args.n)
-    except ParseError as exc:
-        raise CliError(f"malformed polynomial: {exc}") from exc
-
-
-def _json_dump(path, obj):
-    Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True), encoding="utf-8")
-
-
-def cmd_spectrum(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    rows = []
-    for t in range(args.trials):
-        X = ginibre_tuple(p.num_vars, args.N, stream(args.seed, STREAM_GINIBRE, t))
-        rows.append(esd(evaluate(p, X)).eigenvalues)
-    lam = np.concatenate(rows)
-    csv = out / "spectrum.csv"
-    with open(csv, "w", encoding="utf-8") as fh:
-        fh.write("re,im\n")
-        for z in lam:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
-    _write_manifest(out, "spectrum", argv, _params(args), args.seed, t0,
-                    {"spectrum.csv": csv})
-    print(f"spectrum: {len(lam)} eigenvalues -> {csv}")
-    return 0
-
-
-def cmd_linearize_check(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    lin = build_linearization(p)
-    X = ginibre_tuple(p.num_vars, args.N, stream(args.seed, STREAM_GINIBRE, 0))
-    residual = verify_schur(lin, X, args.z)
-    ok = residual <= args.tol
-    (out / "linearization.json").write_text(lin.to_json(), encoding="utf-8")
-    _json_dump(out / "check.json",
-               {"residual": residual, "tol": args.tol, "ok": bool(ok),
-                "rank": lin.rank, "z": [args.z.real, args.z.imag]})
-    _write_manifest(out, "linearize-check", argv, _params(args), args.seed, t0,
-                    {"linearization.json": out / "linearization.json",
-                     "check.json": out / "check.json"})
-    print(f"linearize-check: residual={residual:.3e} tol={args.tol:g} ok={ok}")
-    return 0
-
-
-def cmd_smin_map(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    med, mean, mn, failures = smin_map_full(
-        p, args.N, args.grid, args.trials, args.seed, threads=args.threads
-    )
-    csv = out / "smin_map.csv"
-    med.to_csv(csv, extras={"mean": mean.values, "min": mn.values})
-    _write_manifest(out, "smin-map", argv, _params(args), args.seed, t0,
-                    {"smin_map.csv": csv})
-    if failures:
-        print(f"smin-map: {failures} backend failures across trials/nodes")
-    print(f"smin-map: {args.grid.nx}x{args.grid.ny} grid -> {csv}")
-    return 0
-
-
-def cmd_tail(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    est = tail_estimate(p, args.N, args.z, args.eps, args.trials, args.seed,
-                        threads=args.threads)
-    path = out / "tail.json"
-    path.write_text(est.to_json(), encoding="utf-8")
-    _write_manifest(out, "tail", argv, _params(args), args.seed, t0,
-                    {"tail.json": path})
-    slope = "undefined" if est.slope is None else f"{est.slope:.3f}"
-    print(f"tail: slope={slope} -> {path}")
-    return 0
-
-
-def cmd_area(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    area = pseudospectrum_area(p, args.N, args.eps, args.grid, args.trials,
-                               args.seed, threads=args.threads)
-    path = out / "area.json"
-    _json_dump(path, {"eps": args.eps, "area": area,
-                      "omega": args.grid.to_dict(), "N": args.N,
-                      "trials": args.trials})
-    _write_manifest(out, "area", argv, _params(args), args.seed, t0,
-                    {"area.json": path})
-    print(f"area: E Leb = {area:.6g} -> {path}")
-    return 0
-
-
-def cmd_brown(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    fld = log_potential(p, args.N, args.grid, args.trials, floor=args.floor,
-                        seed=args.seed, threads=args.threads)
-    est = brown_estimate(fld)
-    logpot_csv = out / "logpot.csv"
-    fld.h_field().to_csv(logpot_csv,
-                         extras={"truncated_fraction": fld.truncated_fraction})
-    g = fld.grid
-    interior = GridSpec(
-        re_min=g.re_min + g.dx, re_max=g.re_max - g.dx,
-        im_min=g.im_min + g.dy, im_max=g.im_max - g.dy,
-        nx=g.nx - 2, ny=g.ny - 2,
-    )
-    from .pseudospec import GridField
-
-    density_csv = out / "density.csv"
-    GridField(interior, est.density).to_csv(density_csv)
-    side = out / "brown.json"
-    _json_dump(side, {
-        "N": args.N, "trials": args.trials, "floor": fld.floor,
-        "seed": args.seed, "total_mass": est.total_mass,
-        "truncated_fraction_summary": fld.truncation_summary(),
-    })
-    _write_manifest(out, "brown", argv, _params(args), args.seed, t0,
-                    {"logpot.csv": logpot_csv, "density.csv": density_csv,
-                     "brown.json": side})
-    print(f"brown: total_mass={est.total_mass:.4f} -> {density_csv}")
-    return 0
-
-
-def cmd_stieltjes(args, argv):
-    t0 = time.time()
-    p = _poly(args)
-    out = _outdir(args)
-    g = stieltjes(p, args.N, args.z, args.eta, args.trials, args.seed,
-                  threads=args.threads)
-    path = out / "stieltjes.json"
-    _json_dump(path, {
-        "z": [args.z.real, args.z.imag], "N": args.N, "trials": args.trials,
-        "values": [{"eta": float(e), "re": v.real, "im": v.imag}
-                   for e, v in zip(args.eta, g)],
-    })
-    _write_manifest(out, "stieltjes", argv, _params(args), args.seed, t0,
-                    {"stieltjes.json": path})
-    print(f"stieltjes: {len(args.eta)} rungs -> {path}")
-    return 0
-
-
-def _walk_setup(args):
-    p = _poly(args)
-    lin = build_linearization(p)
-    X = ginibre_tuple(p.num_vars, args.N, stream(args.seed, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, args.z)
-    U = orthocomplement_basis(Lz, args.j, args.seed, lin.rank)
-    return p, lin, Lz, U
-
-
-def cmd_walks_delta(args, argv):
-    t0 = time.time()
-    out = _outdir(args)
-    p, lin, Lz, U = _walk_setup(args)
-    threshold = args.threshold if args.threshold else float(args.N) ** (-lin.rank / 2 - 10)
-    rep = delta_report(U, lin.s_matrix(), threshold)
-    path = out / "delta.json"
-    path.write_text(rep.to_json(), encoding="utf-8")
-    U.save(out / "walkbasis.bin", out / "walkbasis.json")
-    _write_manifest(out, "walks-delta", argv, _params(args), args.seed, t0,
-                    {"delta.json": path, "walkbasis.bin": out / "walkbasis.bin",
-                     "walkbasis.json": out / "walkbasis.json"})
-    print(f"walks-delta: structured={rep.structured} "
-          f"max1={rep.max_abs_delta1:.3e} max2={rep.max_abs_delta2:.3e} -> {path}")
-    return 0
-
-
-def cmd_walks_dettail(args, argv):
-    t0 = time.time()
-    out = _outdir(args)
-    p, lin, Lz, U = _walk_setup(args)
-    from .linearize import BlockShift
-
-    K = BlockShift(z=args.z, gamma=lin.gamma, dim=lin.dim).matrix
-    M = U.blocks[args.j].conj().T @ K
-    est = det_tail_experiment(U, lin.s_matrix(), M, args.eps, args.trials, args.seed)
-    path = out / "dettail.json"
-    path.write_text(est.to_json(), encoding="utf-8")
-    _write_manifest(out, "walks-dettail", argv, _params(args), args.seed, t0,
-                    {"dettail.json": path})
-    slope = "undefined" if est.slope is None else f"{est.slope:.3f}"
-    print(f"walks-dettail: slope={slope} -> {path}")
-    return 0
-
-
-def cmd_free_moment(args, argv):
-    t0 = time.time()
-    word = parse_star_word(args.word)
-    value = free_moment(word)
-    print(value)
-    if args.out:
-        out = _outdir(args)
-        path = out / "freemoment.json"
-        _json_dump(path, {"word": str(word), "moment": value})
-        _write_manifest(out, "free-moment", argv, _params(args), 0, t0,
-                        {"freemoment.json": path})
-    return 0
-
-
-def cmd_replay(args, argv):
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    recorded = manifest["argv"]
-    # swap the recorded output directory for the replay target
-    new_argv = []
-    skip = False
-    for i, tok in enumerate(recorded):
-        if skip:
-            skip = False
-            continue
-        if tok in ("-o", "--out"):
-            skip = True
-            continue
-        new_argv.append(tok)
-    new_argv += ["-o", args.out]
-    code = dispatch(new_argv)
-    if code != 0:
-        print(f"replay: command failed with exit code {code}")
-        return code
-    ok = True
-    for name, digest in manifest["outputs"].items():
-        got = _sha256(Path(args.out) / name)
-        match = got == digest
-        ok = ok and match
-        print(f"replay: {name} {'OK' if match else 'MISMATCH'}")
-    return 0 if ok else 1
-
-
 def _params(args):
-    skip = {"func"}
     out = {}
     for key, val in vars(args).items():
-        if key in skip:
-            continue
         if isinstance(val, complex):
             out[key] = [val.real, val.imag]
         elif isinstance(val, np.ndarray):
@@ -399,107 +173,275 @@ def _params(args):
     return out
 
 
-def _add_common(sp, poly=True, grid=False, z=False, eps_ladder=False,
-                trials_default=None, floor=False, eta=False):
-    if poly:
-        sp.add_argument("--poly", required=True, help="polynomial, e.g. 'x1*x2+x2*x1'")
-        sp.add_argument("--n", type=int, default=None, help="declared number of variables")
-        sp.add_argument("--N", type=int, required=True, help="matrix size")
-    if z:
-        sp.add_argument("--z", type=parse_complex, default=0j, help="shift, as a+bi")
-    if grid:
-        sp.add_argument("--grid", type=parse_grid, required=True,
-                        help="re_min,re_max,im_min,im_max,nx,ny")
-    if eps_ladder:
-        sp.add_argument("--eps", type=parse_ladder, required=True,
-                        help="ladder lo:hi:log10[:count] or comma list")
-    if trials_default is not None:
-        sp.add_argument("--trials", type=int, default=trials_default)
-    if floor:
-        sp.add_argument("--floor", type=float, default=None,
-                        help="singular value floor (default N^-6)")
-    if eta:
-        sp.add_argument("--eta", type=parse_ladder, required=True,
-                        help="eta ladder lo:hi:log10[:count] or comma list")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default $BROWNLAB_THREADS or 1)")
-    sp.add_argument("-o", "--out", default="brownlab-out", help="output directory")
+def _poly(args):
+    try:
+        return parse(args.poly, num_vars=args.n)
+    except ParseError as exc:
+        raise CliError(f"malformed polynomial: {exc}") from exc
+
+
+def _json_text(obj):
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _save(out, texts):
+    """Write {file name: text} into out; return {file name: path}."""
+    paths = {name: out / name for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+def _slope(est):
+    return "undefined" if est.slope is None else f"{est.slope:.3f}"
+
+
+# ------------------------------------------------------------ command bodies
+
+def _spectrum(args, p, out):
+    lam = np.concatenate([esd(trial_matrix(p, args.N, args.seed, t)).eigenvalues
+                          for t in range(args.trials)])
+    path = out / "spectrum.csv"
+    SpectrumSample(lam).to_csv(path)
+    return {"spectrum.csv": path}, f"spectrum: {len(lam)} eigenvalues -> {path}"
+
+
+def _linearize_check(args, p, out):
+    lin = build_linearization(p)
+    residual = verify_schur(lin, trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
+    ok = residual <= args.tol
+    outputs = _save(out, {
+        "linearization.json": lin.to_json(),
+        "check.json": _json_text({"residual": residual, "tol": args.tol, "ok": bool(ok),
+                                  "rank": lin.rank, "z": [args.z.real, args.z.imag]}),
+    })
+    return outputs, f"linearize-check: residual={residual:.3e} tol={args.tol:g} ok={ok}"
+
+
+def _smin_map(args, p, out):
+    med, mean, mn, failures = smin_map_full(p, args.N, args.grid, args.trials, args.seed,
+                                            threads=args.threads)
+    path = out / "smin_map.csv"
+    med.to_csv(path, extras={"mean": mean.values, "min": mn.values})
+    return {"smin_map.csv": path}, (f"smin-map: {args.grid.nx}x{args.grid.ny} grid, "
+                                    f"{failures} backend failures -> {path}")
+
+
+def _tail(args, p, out):
+    est = tail_estimate(p, args.N, args.z, args.eps, args.trials, args.seed,
+                        threads=args.threads)
+    outputs = _save(out, {"tail.json": est.to_json()})
+    return outputs, f"tail: slope={_slope(est)} -> {outputs['tail.json']}"
+
+
+def _area(args, p, out):
+    area = pseudospectrum_area(p, args.N, args.eps, args.grid, args.trials, args.seed,
+                               threads=args.threads)
+    outputs = _save(out, {"area.json": _json_text({
+        "eps": args.eps, "area": area, "omega": args.grid.to_dict(), "N": args.N,
+        "trials": args.trials,
+    })})
+    return outputs, f"area: E Leb = {area:.6g} -> {outputs['area.json']}"
+
+
+def _brown(args, p, out):
+    fld = log_potential(p, args.N, args.grid, args.trials, floor=args.floor,
+                        seed=args.seed, threads=args.threads)
+    est = brown_estimate(fld)
+    outputs = {"logpot.csv": out / "logpot.csv", "density.csv": out / "density.csv"}
+    fld.h_field().to_csv(outputs["logpot.csv"],
+                         extras={"truncated_fraction": fld.truncated_fraction})
+    est.density_field().to_csv(outputs["density.csv"])
+    outputs |= _save(out, {"brown.json": _json_text({
+        "N": args.N, "trials": args.trials, "floor": fld.floor,
+        "seed": args.seed, "total_mass": est.total_mass,
+        "truncated_fraction_summary": fld.truncation_summary(),
+    })})
+    return outputs, f"brown: total_mass={est.total_mass:.4f} -> {outputs['density.csv']}"
+
+
+def _stieltjes(args, p, out):
+    g = stieltjes(p, args.N, args.z, args.eta, args.trials, args.seed, threads=args.threads)
+    outputs = _save(out, {"stieltjes.json": _json_text({
+        "z": [args.z.real, args.z.imag], "N": args.N, "trials": args.trials,
+        "values": [{"eta": float(e), "re": v.real, "im": v.imag}
+                   for e, v in zip(args.eta, g)],
+    })})
+    return outputs, f"stieltjes: {len(args.eta)} rungs -> {outputs['stieltjes.json']}"
+
+
+def _walk_basis(args, p):
+    """The linearization of p and the basis U for block column j of L^z."""
+    lin = build_linearization(p)
+    Lz = assemble_Lz(lin, trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
+    return lin, orthocomplement_basis(Lz, args.j, args.seed, lin.rank)
+
+
+def _walks_delta(args, p, out):
+    lin, U = _walk_basis(args, p)
+    threshold = args.threshold if args.threshold else float(args.N) ** (-lin.rank / 2 - 10)
+    rep = delta_report(U, lin.s_matrix(), threshold)
+    outputs = _save(out, {"delta.json": rep.to_json()})
+    outputs |= {"walkbasis.bin": out / "walkbasis.bin", "walkbasis.json": out / "walkbasis.json"}
+    U.save(outputs["walkbasis.bin"], outputs["walkbasis.json"])
+    return outputs, (f"walks-delta: structured={rep.structured} "
+                     f"max1={rep.max_abs_delta1:.3e} max2={rep.max_abs_delta2:.3e} "
+                     f"-> {outputs['delta.json']}")
+
+
+def _walks_dettail(args, p, out):
+    lin, U = _walk_basis(args, p)
+    K = BlockShift(z=args.z, gamma=lin.gamma, dim=lin.dim).matrix
+    est = det_tail_experiment(U, lin.s_matrix(), U.blocks[args.j].conj().T @ K,
+                              args.eps, args.trials, args.seed)
+    outputs = _save(out, {"dettail.json": est.to_json()})
+    return outputs, f"walks-dettail: slope={_slope(est)} -> {outputs['dettail.json']}"
+
+
+def _free_moment(args, p, out):
+    word = parse_star_word(args.word)
+    value = free_moment(word)
+    outputs = {} if out is None else _save(out, {"freemoment.json": _json_text({
+        "word": str(word), "moment": value,
+    })})
+    return outputs, str(value)
+
+
+# ------------------------------------------------------------ command table
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _trials(default):
+    return _arg("--trials", type=int, default=default)
+
+
+_POLY = (
+    _arg("--poly", required=True, help="polynomial, e.g. 'x1*x2+x2*x1'"),
+    _arg("--n", type=int, default=None, help="declared number of variables"),
+    _arg("--N", type=int, required=True, help="matrix size"),
+)
+_Z = _arg("--z", type=parse_complex, default=0j, help="shift, as a+bi")
+_GRID = _arg("--grid", type=parse_grid, required=True, help="re_min,re_max,im_min,im_max,nx,ny")
+_EPS = _arg("--eps", type=parse_ladder, required=True,
+            help="ladder lo:hi:log10[:count] or comma list")
+_J = _arg("--j", type=int, default=0, help="block column index")
+_RUN = (
+    _arg("--seed", type=int, default=0),
+    _arg("--threads", type=int, default=None,
+         help="worker threads (default $BROWNLAB_THREADS or 1)"),
+    _arg("-o", "--out", default="brownlab-out", help="output directory"),
+)
+
+
+Command = namedtuple("Command", "name help arguments run")
+
+COMMANDS = {cmd.name: cmd for cmd in (
+    Command("spectrum", "eigenvalue samples of p(X)",
+            (*_POLY, _trials(1), *_RUN), _spectrum),
+    Command("linearize-check", "Schur resolvent identity residual",
+            (*_POLY, _Z, *_RUN, _arg("--tol", type=float, default=1e-8)), _linearize_check),
+    Command("smin-map", "grid map of smin(P - z)",
+            (*_POLY, _GRID, _trials(1), *_RUN), _smin_map),
+    Command("tail", "small-ball tail of smin(P - z)",
+            (*_POLY, _Z, _EPS, _trials(1000), *_RUN), _tail),
+    Command("area", "expected pseudospectrum area in a rectangle",
+            (*_POLY, _GRID, _trials(1), *_RUN, _arg("--eps", type=float, required=True)),
+            _area),
+    Command("brown", "log-potential and Brown density estimate",
+            (*_POLY, _GRID, _trials(1), *_RUN,
+             _arg("--floor", type=float, default=None,
+                  help="singular value floor (default N^-6)")),
+            _brown),
+    Command("stieltjes", "Stieltjes transform of the hermitization",
+            (*_POLY, _Z, _trials(10), *_RUN,
+             _arg("--eta", type=parse_ladder, required=True,
+                  help="eta ladder lo:hi:log10[:count] or comma list")),
+            _stieltjes),
+    Command("walks-delta", "Delta determinant report for a drawn basis",
+            (*_POLY, _Z, *_RUN, _J,
+             _arg("--threshold", type=float, default=None,
+                  help="structured threshold (default N^(-r/2-10))")),
+            _walks_delta),
+    Command("walks-dettail", "determinant small-ball experiment",
+            (*_POLY, _Z, _EPS, _trials(1000), *_RUN, _J), _walks_dettail),
+    Command("free-moment", "free moment of a star word",
+            (_arg("--word", required=True, help="e.g. 'c1 c1* c2 c2*'"),
+             _arg("-o", "--out", default=None)),
+            _free_moment),
+)}
+
+
+# ------------------------------------------------------------ runner
+
+# Every spelling argparse accepts for the output directory: -o DIR, -oDIR,
+# --out DIR, --out=DIR, and the unambiguous prefixes --o and --ou.
+_OUT_FLAG = re.compile(r"-o.*|--o(?:u|ut)?(?:=.*)?")
+
+
+def _replay(args):
+    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    # swap the recorded output directory for the replay target
+    argv, skip = [], False
+    for tok in manifest["argv"]:
+        if skip:
+            skip = False
+        elif _OUT_FLAG.fullmatch(tok):
+            skip = tok in ("-o", "--o", "--ou", "--out")
+        else:
+            argv.append(tok)
+    code = dispatch(argv + ["-o", args.out])
+    if code != 0:
+        print(f"replay: command failed with exit code {code}")
+        return code
+    ok = True
+    for name, digest in manifest["outputs"].items():
+        match = _sha256(Path(args.out) / name) == digest
+        ok = ok and match
+        print(f"replay: {name} {'OK' if match else 'MISMATCH'}")
+    return 0 if ok else 1
 
 
 def build_parser():
     ap = _Parser(prog="brownlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalue samples of p(X)")
-    _add_common(sp, trials_default=1)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("linearize-check", help="Schur resolvent identity residual")
-    _add_common(sp, z=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.set_defaults(func=cmd_linearize_check)
-
-    sp = sub.add_parser("smin-map", help="grid map of smin(P - z)")
-    _add_common(sp, grid=True, trials_default=1)
-    sp.set_defaults(func=cmd_smin_map)
-
-    sp = sub.add_parser("tail", help="small-ball tail of smin(P - z)")
-    _add_common(sp, z=True, eps_ladder=True, trials_default=1000)
-    sp.set_defaults(func=cmd_tail)
-
-    sp = sub.add_parser("area", help="expected pseudospectrum area in a rectangle")
-    _add_common(sp, grid=True, trials_default=1)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.set_defaults(func=cmd_area)
-
-    sp = sub.add_parser("brown", help="log-potential and Brown density estimate")
-    _add_common(sp, grid=True, trials_default=1, floor=True)
-    sp.set_defaults(func=cmd_brown)
-
-    sp = sub.add_parser("stieltjes", help="Stieltjes transform of the hermitization")
-    _add_common(sp, z=True, eta=True, trials_default=10)
-    sp.set_defaults(func=cmd_stieltjes)
-
-    sp = sub.add_parser("walks-delta", help="Delta determinant report for a drawn basis")
-    _add_common(sp, z=True)
-    sp.add_argument("--threshold", type=float, default=None,
-                    help="structured threshold (default N^(-r/2-10))")
-    sp.add_argument("--j", type=int, default=0, help="block column index")
-    sp.set_defaults(func=cmd_walks_delta)
-
-    sp = sub.add_parser("walks-dettail", help="determinant small-ball experiment")
-    _add_common(sp, z=True, eps_ladder=True, trials_default=1000)
-    sp.add_argument("--j", type=int, default=0, help="block column index")
-    sp.set_defaults(func=cmd_walks_dettail)
-
-    sp = sub.add_parser("free-moment", help="free moment of a star word")
-    sp.add_argument("--word", required=True, help="e.g. 'c1 c1* c2 c2*'")
-    sp.add_argument("-o", "--out", default=None)
-    sp.set_defaults(func=cmd_free_moment)
-
+    for cmd in COMMANDS.values():
+        sp = sub.add_parser(cmd.name, help=cmd.help)
+        for flags, kwargs in cmd.arguments:
+            sp.add_argument(*flags, **kwargs)
     sp = sub.add_parser("replay", help="re-run a manifest and verify digests")
     sp.add_argument("manifest")
     sp.add_argument("-o", "--out", required=True)
-    sp.set_defaults(func=cmd_replay)
-
     return ap
 
 
 def dispatch(argv):
-    ap = build_parser()
+    """Run one command line and return its exit code."""
     try:
-        args = ap.parse_args(argv)
-        if getattr(args, "threads", None) is None and hasattr(args, "threads"):
+        args = build_parser().parse_args(argv)
+        if args.command == "replay":
+            return _replay(args)
+        t0 = time.time()
+        cmd = COMMANDS[args.command]
+        if vars(args).get("threads", 1) is None:
             args.threads = default_threads()
-        return args.func(args, argv)
-    except (CliError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DecompositionError, DegenerateDrawError, SingularFactorError,
-            np.linalg.LinAlgError) as exc:
+        p = _poly(args) if "poly" in vars(args) else None
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        outputs, summary = cmd.run(args, p, out)
+        if outputs:
+            _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", 0),
+                            t0, outputs)
+        print(summary)
+        return 0
+    except _BACKEND_ERRORS as exc:
         print(f"numerical backend failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # CliError and ParseError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -9,12 +9,13 @@ and the area estimator integrates the indicator over a rectangle.
 
 One sample is drawn per trial and swept across all grid nodes, matching
 the fixed-matrix varying-z viewpoint and saving a factor nx*ny in
-sampling cost.
+sampling cost. Trial t of every experiment draws its Ginibre tuple from
+the Philox substream (seed, STREAM_GINIBRE, t), and trial_tuple is the
+one place that address is formed.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,13 +24,14 @@ import numpy as np
 
 from ._pool import parallel_map
 from .ncpoly import evaluate
-from .rmtcore import STREAM_GINIBRE, ginibre_matrix, ginibre_tuple, smin_stack, stream
+from .rmtcore import STREAM_GINIBRE, ginibre_tuple, smin_stack, stream, write_csv
 
 __all__ = [
     "GridSpec",
     "GridField",
     "TailEstimate",
-    "smin_map",
+    "trial_tuple",
+    "trial_matrix",
     "smin_map_full",
     "tail_estimate",
     "smin_shifted_tail",
@@ -112,23 +114,19 @@ class GridField:
 
         extras maps column name to an (nx, ny) array appended per row.
         """
-        extras = extras or {}
         nodes = self.spec.nodes()
-        buf = io.StringIO()
-        buf.write("re,im,value" + "".join(f",{k}" for k in extras) + "\n")
-        for i in range(self.spec.nx):
-            for j in range(self.spec.ny):
-                z = nodes[i, j]
-                row = f"{z.real:.17g},{z.imag:.17g},{self.values[i, j]:.17g}"
-                for arr in extras.values():
-                    row += f",{arr[i, j]:.17g}"
-                buf.write(row + "\n")
-        text = buf.getvalue()
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        write_csv(path_or_file, {"re": nodes.real, "im": nodes.imag,
+                                 "value": self.values, **(extras or {})})
+
+
+def trial_tuple(num_vars, N, seed, trial):
+    """The Ginibre tuple X of Monte Carlo trial `trial` under `seed`."""
+    return ginibre_tuple(num_vars, N, stream(seed, STREAM_GINIBRE, trial))
+
+
+def trial_matrix(p, N, seed, trial):
+    """P = p(X) for the Ginibre tuple of trial `trial`."""
+    return evaluate(p, trial_tuple(p.num_vars, N, seed, trial))
 
 
 def wilson_interval(hits, trials, z_score=1.959963984540054):
@@ -179,7 +177,13 @@ class TailEstimate:
 
     @staticmethod
     def from_samples(samples, eps_ladder, z, N):
-        samples = np.sort(np.asarray(samples, dtype=float))
+        """Ladder over finite samples; a non-finite one is a failed trial
+        that would otherwise count as a miss, so it raises ValueError."""
+        samples = np.asarray(samples, dtype=float)
+        failed = int(np.count_nonzero(~np.isfinite(samples)))
+        if failed:
+            raise ValueError(f"{failed} of {samples.size} samples are not finite")
+        samples = np.sort(samples)
         eps_ladder = np.asarray(eps_ladder, dtype=float)
         if eps_ladder.ndim != 1 or len(eps_ladder) < 1:
             raise ValueError("eps ladder must be a nonempty 1-d sequence")
@@ -231,21 +235,19 @@ def _smin_nodes(P, nodes_flat):
     return out
 
 
-def _per_trial_smin_field(p, N, grid, seed, trial):
-    rng = stream(seed, STREAM_GINIBRE, trial)
-    X = ginibre_tuple(p.num_vars, N, rng)
-    P = evaluate(p, X)
-    return _smin_nodes(P, grid.nodes().ravel())
+def _smin_fields(p, N, grid, trials, seed, threads):
+    """(trials, nodes) array of smin(P - z), one P per trial."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    nodes = grid.nodes().ravel()
+    return np.stack(parallel_map(
+        lambda t: _smin_nodes(trial_matrix(p, N, seed, t), nodes), range(trials), threads
+    ))
 
 
 def smin_map_full(p, N, grid, trials, seed, threads=None):
     """Median/mean/min smin(P - z) per node plus the backend failure count."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    fields = parallel_map(
-        lambda t: _per_trial_smin_field(p, N, grid, seed, t), range(trials), threads
-    )
-    data = np.stack(fields)  # (trials, nodes)
+    data = _smin_fields(p, N, grid, trials, seed, threads)
     failures = int(np.isnan(data).sum())
     with np.errstate(all="ignore"):
         med = np.nanmedian(data, axis=0)
@@ -260,11 +262,6 @@ def smin_map_full(p, N, grid, trials, seed, threads=None):
     )
 
 
-def smin_map(p, N, grid, trials, seed, threads=None):
-    """Grid map of the median over trials of smin(P - z)."""
-    return smin_map_full(p, N, grid, trials, seed, threads)[0]
-
-
 def _tail_from_trials(sample_fn, trials, eps_ladder, z, N, threads):
     if trials < 100:
         raise ValueError("tail estimates need trials >= 100")
@@ -276,9 +273,7 @@ def tail_estimate(p, N, z, eps_ladder, trials, seed, threads=None):
     """Small-ball ladder for smin(P - z) at a fixed z, fresh P per trial."""
 
     def one(trial):
-        rng = stream(seed, STREAM_GINIBRE, trial)
-        X = ginibre_tuple(p.num_vars, N, rng)
-        P = evaluate(p, X)
+        P = trial_matrix(p, N, seed, trial)
         return np.linalg.svd(P - z * np.eye(N), compute_uv=False)[-1]
 
     return _tail_from_trials(one, trials, eps_ladder, z, N, threads)
@@ -291,7 +286,7 @@ def smin_shifted_tail(N, shift, eps_ladder, trials, seed, threads=None):
         raise ValueError("shift must be N x N")
 
     def one(trial):
-        X = ginibre_matrix(N, stream(seed, STREAM_GINIBRE, trial))
+        X = trial_tuple(1, N, seed, trial)[0]
         return np.linalg.svd(X + M, compute_uv=False)[-1]
 
     return _tail_from_trials(one, trials, eps_ladder, None, N, threads)
@@ -305,11 +300,7 @@ def pseudospectrum_area(p, N, eps, omega, trials, seed, threads=None):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    fields = parallel_map(
-        lambda t: _per_trial_smin_field(p, N, omega, seed, t), range(trials), threads
-    )
+    fields = _smin_fields(p, N, omega, trials, seed, threads)
     fractions = [np.mean(f[np.isfinite(f)] <= eps) if np.isfinite(f).any() else np.nan
                  for f in fields]
     return float(np.nanmean(fractions) * omega.area)

@@ -7,18 +7,15 @@ reproducible no matter how they are scheduled across workers.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DecompositionError",
-    "GinibreSample",
     "SpectrumSample",
     "SingularSpectrum",
     "stream",
-    "sample_ginibre",
     "ginibre_matrix",
     "ginibre_tuple",
     "haar_unitary",
@@ -26,7 +23,7 @@ __all__ = [
     "singular_values",
     "singular_values_stack",
     "smin_stack",
-    "operator_norm_check",
+    "write_csv",
 ]
 
 # Stream ids for the substream registry. Every operation that consumes
@@ -52,14 +49,6 @@ def stream(seed, *path):
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True)
-class GinibreSample:
-    """One draw of an N x N complex Ginibre matrix (entry variance 1/N)."""
-
-    size: int
-    entries: np.ndarray
-
-
 def ginibre_matrix(N, rng):
     """N x N matrix of iid complex Gaussians, Re/Im variance 1/(2N) each."""
     if N < 1:
@@ -67,10 +56,6 @@ def ginibre_matrix(N, rng):
     g = rng.standard_normal((N, N))
     h = rng.standard_normal((N, N))
     return (g + 1j * h) / np.sqrt(2.0 * N)
-
-
-def sample_ginibre(N, rng):
-    return GinibreSample(size=N, entries=ginibre_matrix(N, rng))
 
 
 def ginibre_tuple(n, N, rng):
@@ -97,14 +82,7 @@ class SpectrumSample:
         return len(self.eigenvalues)
 
     def to_csv(self, path_or_file):
-        _write_text(path_or_file, self._csv_text())
-
-    def _csv_text(self):
-        buf = io.StringIO()
-        buf.write("re,im\n")
-        for lam in self.eigenvalues:
-            buf.write(f"{lam.real:.17g},{lam.imag:.17g}\n")
-        return buf.getvalue()
+        write_csv(path_or_file, {"re": self.eigenvalues.real, "im": self.eigenvalues.imag})
 
     @staticmethod
     def from_csv(path_or_file):
@@ -126,11 +104,16 @@ class SingularSpectrum:
     def smax(self):
         return float(self.values[0])
 
-    def to_text(self, path_or_file):
-        _write_text(path_or_file, "".join(f"{v:.17g}\n" for v in self.values))
 
+def write_csv(path_or_file, columns):
+    """CSV with a header row, then one row of '.17g' reals per index.
 
-def _write_text(path_or_file, text):
+    columns maps header name to an array; the arrays are read in
+    row-major order, and ValueError is raised unless their sizes agree.
+    """
+    names = ",".join(columns)
+    rows = zip(*(np.asarray(c).ravel().tolist() for c in columns.values()), strict=True)
+    text = names + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -193,11 +176,3 @@ def singular_values_stack(stack):
 def smin_stack(stack):
     """Smallest singular value of each matrix in a stack (NaN on failure)."""
     return singular_values_stack(stack)[..., -1]
-
-
-def operator_norm_check(M, bound):
-    """True iff the largest singular value of M is at most bound."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return True
-    return bool(np.linalg.svd(M, compute_uv=False)[0] <= bound)

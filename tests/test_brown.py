@@ -232,3 +232,11 @@ def test_compare_clips_negative_density():
     lam = np.zeros(10, dtype=complex)
     tv = compare_esd_brown(SpectrumSample(eigenvalues=lam), est, g)
     assert 0.0 <= tv <= 1.0
+
+
+def test_density_field_sits_on_the_interior_nodes():
+    g = GridSpec(-1, 1, -2, 2, 6, 5)
+    est = brown_estimate(_flat_field(g, np.zeros((6, 5))))
+    fld = est.density_field()
+    assert fld.values.shape == (4, 3)
+    assert np.allclose(fld.spec.nodes(), est.interior_nodes())

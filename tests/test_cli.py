@@ -95,6 +95,22 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical backend failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
+     "--trials", "100"],
+    ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
+     "--trials", "2"],
+])
+def test_linalg_error_exits_two(argv, tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still map to exit code 2.
+    def boom(*a, **k):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    assert dispatch(argv + ["-o", str(tmp_path)]) == 2
+    assert "numerical backend failure" in capsys.readouterr().err
+
+
 def test_threads_default_comes_from_environment(monkeypatch):
     from brownlab._pool import default_threads
 
@@ -224,22 +240,24 @@ def test_walks_dettail_command(tmp_path, capsys):
 
 
 def test_manifest_contents_and_replay(tmp_path, capsys):
-    rundir = tmp_path / "run"
-    code = dispatch(
-        ["tail", "--poly", "x1*x2+x2*x1", "--N", "10", "--z", "0",
-         "--eps", "1e-4:1e-1:log10:4", "--trials", "100", "--seed", "9",
-         "-o", str(rundir)]
-    )
-    assert code == 0
-    manifest = json.loads((rundir / "manifest.json").read_text())
-    assert manifest["command"] == "tail"
-    assert manifest["master_seed"] == 9
-    assert set(manifest["outputs"]) == {"tail.json"}
-    replay_dir = tmp_path / "replay"
-    code = dispatch(["replay", str(rundir / "manifest.json"), "-o", str(replay_dir)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tail.json OK" in out
+    args = ["tail", "--poly", "x1*x2+x2*x1", "--N", "10", "--z", "0",
+            "--eps", "1e-4:1e-1:log10:4", "--trials", "100", "--seed", "9"]
+    for k, out_form in enumerate(["-o DIR", "--out=DIR", "-oDIR", "--out DIR"]):
+        rundir = tmp_path / f"run{k}"
+        code = dispatch(args + out_form.replace("DIR", str(rundir)).split())
+        assert code == 0
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["command"] == "tail"
+        assert manifest["master_seed"] == 9
+        assert set(manifest["outputs"]) == {"tail.json"}
+        replay_dir = tmp_path / f"replay{k}"
+        code = dispatch(["replay", str(rundir / "manifest.json"), "-o", str(replay_dir)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "tail.json OK" in out
+        # the replayed run names the new directory only
+        replayed = json.loads((replay_dir / "manifest.json").read_text())["argv"]
+        assert replayed == args + ["-o", str(replay_dir)]
 
 
 def test_replay_detects_mismatch(tmp_path, capsys):

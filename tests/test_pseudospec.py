@@ -10,12 +10,13 @@ from brownlab.pseudospec import (
     TailEstimate,
     fit_tail_slope,
     pseudospectrum_area,
-    smin_map,
     smin_map_full,
     smin_shifted_tail,
     tail_estimate,
+    trial_tuple,
     wilson_interval,
 )
+from brownlab.rmtcore import STREAM_GINIBRE, ginibre_matrix, ginibre_tuple, stream
 
 ANTI = parse("x1*x2 + x2*x1")
 PRODUCT = parse("x1*x2")
@@ -58,33 +59,35 @@ def test_grid_field_csv_format():
     assert len(lines) == 5
     assert lines[1].startswith("0,0,0")
     assert lines[2].startswith("0,1,1")  # row-major: im varies fastest
+    with pytest.raises(ValueError):
+        fld.to_csv(io.StringIO(), extras={"min": np.zeros(3)})
 
 
 # --------------------------------------------------------------- smin map
 
 def test_smin_map_deterministic():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
-    a = smin_map(PRODUCT, 12, g, trials=2, seed=5)
-    b = smin_map(PRODUCT, 12, g, trials=2, seed=5)
+    a = smin_map_full(PRODUCT, 12, g, trials=2, seed=5)[0]
+    b = smin_map_full(PRODUCT, 12, g, trials=2, seed=5)[0]
     assert np.array_equal(a.values, b.values)
 
 
 def test_smin_map_thread_count_invariance():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
-    a = smin_map(PRODUCT, 10, g, trials=3, seed=6, threads=1)
-    b = smin_map(PRODUCT, 10, g, trials=3, seed=6, threads=3)
+    a = smin_map_full(PRODUCT, 10, g, trials=3, seed=6, threads=1)[0]
+    b = smin_map_full(PRODUCT, 10, g, trials=3, seed=6, threads=3)[0]
     assert np.array_equal(a.values, b.values)
 
 
 def test_smin_map_far_shift_dominates():
     g = GridSpec(1000, 1001, 0, 1, 1, 1)
-    fld = smin_map(PRODUCT, 30, g, trials=1, seed=7)
+    fld = smin_map_full(PRODUCT, 30, g, trials=1, seed=7)[0]
     assert abs(fld.values[0, 0] - 1000) <= 50  # within 5%
 
 
 def test_smin_map_product_disk_profile():
     g = GridSpec(-2, 2, -2, 2, 9, 9)
-    fld = smin_map(PRODUCT, 100, g, trials=1, seed=11)
+    fld = smin_map_full(PRODUCT, 100, g, trials=1, seed=11)[0]
     zz = g.nodes()
     inside = np.abs(zz) <= 0.6
     boundary = (np.abs(zz.real) > 1.99) | (np.abs(zz.imag) > 1.99)
@@ -235,3 +238,22 @@ def test_tail_estimate_from_samples_counts():
     samples = np.array([0.5, 1.5, 2.5, 3.5])
     est = TailEstimate.from_samples(samples, np.array([1.0, 2.0, 4.0]), 0j, 4)
     assert est.hits.tolist() == [1, 2, 4]
+
+
+def test_tail_estimate_from_samples_rejects_non_finite():
+    # 100 hits and 100 failed trials: counting the failures as misses
+    # would report rate 0.5 where the rate over real trials is 1.
+    samples = np.concatenate([np.full(100, 1e-3), np.full(100, np.nan)])
+    with pytest.raises(ValueError, match="100 of 200"):
+        TailEstimate.from_samples(samples, np.array([1e-2, 1e-1]), 0j, 4)
+
+
+# --------------------------------------------------------- trial addressing
+
+def test_trial_tuple_reads_the_trials_ginibre_substream():
+    X = trial_tuple(2, 6, 17, 3)
+    Y = ginibre_tuple(2, 6, stream(17, STREAM_GINIBRE, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(X, Y))
+    # a one-matrix tuple draws the same bytes as ginibre_matrix
+    assert np.array_equal(trial_tuple(1, 6, 17, 3)[0],
+                          ginibre_matrix(6, stream(17, STREAM_GINIBRE, 3)))
