@@ -18,14 +18,11 @@ from .ncpoly import (
 )
 from .rmtcore import (
     SpectrumSample,
-    SingularSpectrum,
-    DecompositionError,
     stream,
     ginibre_matrix,
     ginibre_tuple,
     haar_unitary,
     esd,
-    singular_values,
 )
 from .linearize import (
     Linearization,

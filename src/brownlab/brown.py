@@ -26,7 +26,6 @@ from scipy.linalg import lapack
 
 from ._pool import parallel_map
 from .pseudospec import GridField, GridSpec, trial_matrix
-from .rmtcore import DecompositionError
 
 __all__ = [
     "LogPotentialField",
@@ -72,35 +71,26 @@ def _h_one_sample(P, nodes_flat, floor, method):
     h = np.empty(len(nodes_flat))
     trunc = np.zeros(len(nodes_flat))
     eye = np.eye(N)
-
-    if method == "svd":
-        for k, z in enumerate(nodes_flat):
-            sv = np.linalg.svd(P - z * eye, compute_uv=False)
-            h[k] = np.mean(np.log(np.maximum(sv, floor)))
-            trunc[k] = np.mean(sv <= floor)
-        return h, trunc
-
-    try:
+    if method == "auto":
         T, _ = scipy.linalg.schur(P, output="complex")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise DecompositionError(f"Schur decomposition failed: {exc}") from exc
-    lam = np.diag(T).copy()
-    diag_idx = np.diag_indices(N)
+        lam = np.diag(T).copy()
+        diag_idx = np.diag_indices(N)
     for k, z in enumerate(nodes_flat):
-        Tz = T.copy()
-        Tz[diag_idx] -= z
-        # smin(T - z) >= rcond * ||T - z||_1 / sqrt(N); rcond of a
-        # triangular matrix costs O(N^2).
-        rcond, info = lapack.ztrcon(Tz, norm="1", uplo="U", diag="N")
-        norm1 = np.abs(Tz).sum(axis=0).max()
-        if info == 0 and rcond * norm1 / math.sqrt(N) > _GUARD_MARGIN * floor:
-            # No singular value can reach the floor, so the floored sum
-            # equals (1/N) log |det(P - z)|, a function of eigenvalues.
-            h[k] = np.mean(np.log(np.abs(lam - z)))
-        else:
-            sv = np.linalg.svd(P - z * eye, compute_uv=False)
-            h[k] = np.mean(np.log(np.maximum(sv, floor)))
-            trunc[k] = np.mean(sv <= floor)
+        if method == "auto":
+            Tz = T.copy()
+            Tz[diag_idx] -= z
+            # smin(T - z) >= rcond * ||T - z||_1 / sqrt(N); rcond of a
+            # triangular matrix costs O(N^2).
+            rcond, info = lapack.ztrcon(Tz, norm="1", uplo="U", diag="N")
+            norm1 = np.abs(Tz).sum(axis=0).max()
+            if info == 0 and rcond * norm1 / math.sqrt(N) > _GUARD_MARGIN * floor:
+                # No singular value can reach the floor, so the floored sum
+                # equals (1/N) log |det(P - z)|, a function of eigenvalues.
+                h[k] = np.mean(np.log(np.abs(lam - z)))
+                continue
+        sv = np.linalg.svd(P - z * eye, compute_uv=False)
+        h[k] = np.mean(np.log(np.maximum(sv, floor)))
+        trunc[k] = np.mean(sv <= floor)
     return h, trunc
 
 

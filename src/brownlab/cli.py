@@ -8,8 +8,10 @@ arguments reproduces byte-identical outputs regardless of --threads, and
 the digests.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
-polynomial, unsatisfiable grid), 2 numerical backend failure, numpy's
-LinAlgError included.
+polynomial, unsatisfiable grid), 2 numerical backend failure. Failure
+rule: a trial whose P = p(X) is non-finite, or whose LAPACK call fails,
+raises numpy's LinAlgError; that, a degenerate walk draw and a singular
+linearization factor all exit 2, before any output file is written.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
 help text, the argparse additions and a run(args, p, out) body. Given the
@@ -55,14 +57,13 @@ from .pseudospec import (
     trial_matrix,
     trial_tuple,
 )
-from .rmtcore import DecompositionError, SpectrumSample, esd
+from .rmtcore import SpectrumSample, esd
 from .walks import DegenerateDrawError, delta_report, det_tail_experiment, orthocomplement_basis
 
 __all__ = ["main", "dispatch"]
 
 # Caught before ValueError, which np.linalg.LinAlgError subclasses.
-_BACKEND_ERRORS = (DecompositionError, DegenerateDrawError, SingularFactorError,
-                   np.linalg.LinAlgError)
+_BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, np.linalg.LinAlgError)
 
 
 class CliError(ValueError):
@@ -219,12 +220,11 @@ def _linearize_check(args, p, out):
 
 
 def _smin_map(args, p, out):
-    med, mean, mn, failures = smin_map_full(p, args.N, args.grid, args.trials, args.seed,
-                                            threads=args.threads)
+    med, mean, mn = smin_map_full(p, args.N, args.grid, args.trials, args.seed,
+                                  threads=args.threads)
     path = out / "smin_map.csv"
     med.to_csv(path, extras={"mean": mean.values, "min": mn.values})
-    return {"smin_map.csv": path}, (f"smin-map: {args.grid.nx}x{args.grid.ny} grid, "
-                                    f"{failures} backend failures -> {path}")
+    return {"smin_map.csv": path}, f"smin-map: {args.grid.nx}x{args.grid.ny} grid -> {path}"
 
 
 def _tail(args, p, out):
@@ -245,6 +245,9 @@ def _area(args, p, out):
 
 
 def _brown(args, p, out):
+    # density.csv sits on the interior nodes, which must span a rectangle
+    if min(args.grid.nx, args.grid.ny) < 4:
+        raise CliError("brown needs a grid of at least 4 x 4 nodes")
     fld = log_potential(p, args.N, args.grid, args.trials, floor=args.floor,
                         seed=args.seed, threads=args.threads)
     est = brown_estimate(fld)

@@ -125,8 +125,15 @@ def trial_tuple(num_vars, N, seed, trial):
 
 
 def trial_matrix(p, N, seed, trial):
-    """P = p(X) for the Ginibre tuple of trial `trial`."""
-    return evaluate(p, trial_tuple(p.num_vars, N, seed, trial))
+    """P = p(X) for the Ginibre tuple of trial `trial`.
+
+    A non-finite P (say, from overflowing coefficients) raises LinAlgError,
+    since no decomposition of it can succeed.
+    """
+    P = evaluate(p, trial_tuple(p.num_vars, N, seed, trial))
+    if not np.isfinite(P).all():
+        raise np.linalg.LinAlgError(f"P = p(X) of trial {trial} has non-finite entries")
+    return P
 
 
 def wilson_interval(hits, trials, z_score=1.959963984540054):
@@ -224,7 +231,7 @@ class TailEstimate:
 
 
 def _smin_nodes(P, nodes_flat):
-    """smin(P - z) for each z, batched; NaN rows where the backend fails."""
+    """smin(P - z) for each z, in batched SVDs of _SMIN_CHUNK shifts."""
     N = P.shape[0]
     out = np.empty(len(nodes_flat))
     eye = np.eye(N)
@@ -246,19 +253,13 @@ def _smin_fields(p, N, grid, trials, seed, threads):
 
 
 def smin_map_full(p, N, grid, trials, seed, threads=None):
-    """Median/mean/min smin(P - z) per node plus the backend failure count."""
+    """Median, mean and min over trials of smin(P - z) per node."""
     data = _smin_fields(p, N, grid, trials, seed, threads)
-    failures = int(np.isnan(data).sum())
-    with np.errstate(all="ignore"):
-        med = np.nanmedian(data, axis=0)
-        mean = np.nanmean(data, axis=0)
-        mn = np.nanmin(data, axis=0) if trials > 1 else data[0]
     shape = (grid.nx, grid.ny)
     return (
-        GridField(grid, med.reshape(shape)),
-        GridField(grid, mean.reshape(shape)),
-        GridField(grid, np.asarray(mn).reshape(shape)),
-        failures,
+        GridField(grid, np.median(data, axis=0).reshape(shape)),
+        GridField(grid, np.mean(data, axis=0).reshape(shape)),
+        GridField(grid, np.min(data, axis=0).reshape(shape)),
     )
 
 
@@ -301,6 +302,5 @@ def pseudospectrum_area(p, N, eps, omega, trials, seed, threads=None):
     if eps <= 0:
         raise ValueError("eps must be positive")
     fields = _smin_fields(p, N, omega, trials, seed, threads)
-    fractions = [np.mean(f[np.isfinite(f)] <= eps) if np.isfinite(f).any() else np.nan
-                 for f in fields]
-    return float(np.nanmean(fractions) * omega.area)
+    fractions = [np.mean(f <= eps) for f in fields]
+    return float(np.mean(fractions) * omega.area)

@@ -3,6 +3,9 @@
 All randomness flows through counter-based Philox streams keyed by
 ``(master seed, stream id, draw index)``, so that Monte Carlo trials are
 reproducible no matter how they are scheduled across workers.
+
+Decompositions call numpy directly, so a LAPACK failure raises numpy's
+LinAlgError and ends the run (exit code 2 from the CLI).
 """
 
 from __future__ import annotations
@@ -12,16 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DecompositionError",
     "SpectrumSample",
-    "SingularSpectrum",
     "stream",
     "ginibre_matrix",
     "ginibre_tuple",
     "haar_unitary",
     "esd",
-    "singular_values",
-    "singular_values_stack",
     "smin_stack",
     "write_csv",
 ]
@@ -31,10 +30,6 @@ __all__ = [
 STREAM_GINIBRE = 1
 STREAM_HAAR = 2
 STREAM_WALK = 3
-
-
-class DecompositionError(RuntimeError):
-    """A dense eigenvalue/SVD backend failed to converge."""
 
 
 def stream(seed, *path):
@@ -90,21 +85,6 @@ class SpectrumSample:
         return SpectrumSample(eigenvalues=data[:, 0] + 1j * data[:, 1])
 
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """All singular values of a matrix, sorted non-increasing."""
-
-    values: np.ndarray
-
-    @property
-    def smin(self):
-        return float(self.values[-1])
-
-    @property
-    def smax(self):
-        return float(self.values[0])
-
-
 def write_csv(path_or_file, columns):
     """CSV with a header row, then one row of '.17g' reals per index.
 
@@ -124,55 +104,17 @@ def write_csv(path_or_file, columns):
 def esd(M):
     """Eigenvalues of a square matrix, with multiplicity.
 
-    Backend non-convergence surfaces as DecompositionError rather than a
-    bare LinAlgError so callers can distinguish it from validation issues.
+    A non-square or non-finite M raises ValueError; a LAPACK failure
+    raises LinAlgError.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("esd expects a square matrix")
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError("esd expects finite entries")
-    try:
-        lam = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigenvalue backend failed: {exc}") from exc
-    return SpectrumSample(eigenvalues=lam)
-
-
-def singular_values(M):
-    """Full singular spectrum of a rectangular matrix."""
-    M = np.asarray(M)
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
-        raise ValueError("singular_values expects finite entries")
-    try:
-        sv = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD backend failed: {exc}") from exc
-    return SingularSpectrum(values=sv)
-
-
-def singular_values_stack(stack):
-    """Singular values of a stack of matrices, shape (..., k, min(m,n)).
-
-    Items where the backend fails come back as NaN rows instead of
-    aborting the whole batch.
-    """
-    stack = np.asarray(stack)
-    try:
-        return np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.full(stack.shape[:-2] + (min(stack.shape[-2:]),), np.nan)
-    flat = stack.reshape((-1,) + stack.shape[-2:])
-    oflat = out.reshape((-1, out.shape[-1]))
-    for i in range(flat.shape[0]):
-        try:
-            oflat[i] = np.linalg.svd(flat[i], compute_uv=False)
-        except np.linalg.LinAlgError:
-            pass
-    return out
+    return SpectrumSample(eigenvalues=np.linalg.eigvals(M))
 
 
 def smin_stack(stack):
-    """Smallest singular value of each matrix in a stack (NaN on failure)."""
-    return singular_values_stack(stack)[..., -1]
+    """Smallest singular value of each matrix in a stack, by one batched SVD."""
+    return np.linalg.svd(stack, compute_uv=False)[..., -1]

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from brownlab.cli import dispatch, parse_complex, parse_grid, parse_ladder
+from brownlab.pseudospec import GridSpec
 
 
 def _digests(outdir):
@@ -48,6 +51,43 @@ def test_parse_grid_validation():
         parse_grid("-2,2,-2,2,5")
     with pytest.raises(ValueError):
         parse_grid("2,-2,-2,2,5,5")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite)
+@example(-1.5e-2, -0.25)
+@example(0.0, -0.0)
+def test_parse_complex_round_trip(re_part, im_part):
+    sign = "-" if str(im_part).startswith("-") else "+"
+    assert parse_complex(f"{re_part!r}{sign}{abs(im_part)!r}i") == complex(re_part, im_part)
+    assert parse_complex(repr(re_part)) == re_part
+    assert parse_complex(f"{im_part!r}i") == 1j * im_part
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=12,
+                unique=True))
+def test_parse_ladder_comma_list_round_trip(values):
+    values = sorted(values)
+    assert parse_ladder(",".join(map(repr, values))).tolist() == values
+
+
+@given(st.floats(min_value=1e-12, max_value=1.0), st.floats(min_value=2.0, max_value=1e6),
+       st.integers(min_value=1, max_value=30))
+def test_parse_ladder_log_form_round_trip(lo, ratio, count):
+    lad = parse_ladder(f"{lo!r}:{lo * ratio!r}:log10:{count}")
+    assert len(lad) == count and np.isclose(lad[0], lo)
+    # the ladder is a valid comma list that parses back to itself
+    assert np.array_equal(parse_ladder(",".join(map(repr, lad.tolist()))), lad)
+
+
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(-1e6, 1e6),
+       st.floats(1e-6, 1e6), st.integers(1, 100), st.integers(1, 100))
+def test_parse_grid_round_trip(re_min, width, im_min, height, nx, ny):
+    spec = GridSpec(re_min, re_min + width, im_min, im_min + height, nx, ny)
+    text = ",".join(repr(v) for v in spec.to_dict().values())
+    assert parse_grid(text) == spec
 
 
 # ------------------------------------------------------------ exit codes
@@ -100,6 +140,8 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
      "--trials", "100"],
     ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
      "--trials", "2"],
+    ["smin-map", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3"],
+    ["area", "--poly", "x1*x2", "--N", "8", "--eps", "0.5", "--grid", "-1,1,-1,1,3,3"],
 ])
 def test_linalg_error_exits_two(argv, tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must still map to exit code 2.
@@ -109,6 +151,25 @@ def test_linalg_error_exits_two(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", boom)
     assert dispatch(argv + ["-o", str(tmp_path)]) == 2
     assert "numerical backend failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_OVERFLOW = ["--poly", "1e200*1e200*x1*x2", "--N", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *_OVERFLOW],
+    ["smin-map", *_OVERFLOW, "--grid", "-1,1,-1,1,3,3"],
+    ["area", *_OVERFLOW, "--eps", "0.1", "--grid", "-1,1,-1,1,3,3"],
+    ["tail", *_OVERFLOW, "--eps", "1e-3:1:log10:3", "--trials", "100"],
+    ["stieltjes", *_OVERFLOW, "--eta", "0.1,1", "--trials", "2"],
+    ["brown", *_OVERFLOW, "--grid", "-1,1,-1,1,5,5"],
+], ids=lambda argv: argv[0])
+def test_non_finite_p_exits_two_and_writes_nothing(argv, tmp_path, capsys):
+    # the coefficient overflows to inf, so every entry of P is non-finite
+    assert dispatch(argv + ["-o", str(tmp_path)]) == 2
+    assert "numerical backend failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threads_default_comes_from_environment(monkeypatch):
@@ -203,6 +264,15 @@ def test_brown_command_outputs(tmp_path, capsys):
     assert "truncated_fraction_summary" in side
     dens = (tmp_path / "density.csv").read_text().splitlines()
     assert len(dens) == 1 + 7 * 7
+
+
+def test_brown_rejects_grid_without_interior_rectangle(tmp_path, capsys):
+    # a 3x3 grid has a single interior node, which cannot carry density.csv
+    code = dispatch(["brown", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3",
+                     "-o", str(tmp_path)])
+    assert code == 1
+    assert "4 x 4" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stieltjes_command(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brownlab.linearize import (
     BlockShift,
@@ -233,3 +235,12 @@ def test_linearization_json_round_trip():
     assert back.gamma == lin.gamma
     X = ginibre_tuple(3, 4, stream(9, STREAM_GINIBRE, 0))
     assert np.allclose(assemble_Lz(back, X, 0.1), assemble_Lz(lin, X, 0.1))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_linearization_json_round_trip_property(seed, n):
+    lin = build_linearization(_random_degree2(np.random.default_rng(seed), n))
+    back = Linearization.from_json(lin.to_json(), source=lin.source)
+    assert back.rank == lin.rank and back.gamma == lin.gamma
+    assert np.array_equal(back.rotation, lin.rotation)
+    assert all(np.array_equal(a, b) for a, b in zip(back.s, lin.s, strict=True))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brownlab.ncpoly import (
     NcPoly,
@@ -66,6 +68,23 @@ def test_print_parse_round_trip(text):
     assert parse(str(p), num_vars=p.num_vars) == p
     # printing is canonical: a second round trip gives the same string
     assert str(parse(str(p), num_vars=p.num_vars)) == str(p)
+
+
+@st.composite
+def polys(draw):
+    """Polynomials of degree <= 3 in up to 4 variables, any finite coefficients."""
+    n = draw(st.integers(1, 4))
+    words = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    coeffs = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+    )
+    return NcPoly(n, draw(st.dictionaries(words, coeffs, max_size=6)))
+
+
+@given(polys())
+def test_print_parse_round_trip_property(p):
+    assert parse(str(p), num_vars=p.num_vars) == p
 
 
 def test_parse_error_offsets():

@@ -98,8 +98,7 @@ def test_smin_map_product_disk_profile():
 
 def test_smin_map_full_statistics_are_consistent():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
-    med, mean, mn, failures = smin_map_full(PRODUCT, 8, g, trials=5, seed=8)
-    assert failures == 0
+    med, mean, mn = smin_map_full(PRODUCT, 8, g, trials=5, seed=8)
     assert np.all(mn.values <= med.values + 1e-15)
     assert np.all(mn.values <= mean.values + 1e-15)
 

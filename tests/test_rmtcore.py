@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from brownlab.rmtcore import (
@@ -10,8 +12,7 @@ from brownlab.rmtcore import (
     ginibre_matrix,
     ginibre_tuple,
     haar_unitary,
-    singular_values,
-    singular_values_stack,
+    smin_stack,
     stream,
 )
 
@@ -122,47 +123,26 @@ def test_esd_similarity_invariance():
         assert _match_multisets(lam1, lam2) <= 1e-6
 
 
-# -------------------------------------------------------- singular values
+# ------------------------------------------------- smallest singular value
 
 def test_singular_values_identity():
-    sv = singular_values(np.eye(4))
-    assert np.allclose(sv.values, 1)
-    assert sv.smin == 1
+    assert smin_stack(np.eye(4)) == 1
 
 
 def test_singular_values_singular_matrix():
-    sv = singular_values(np.diag([3.0, 0.0]))
-    assert np.allclose(sv.values, [3, 0])
-    assert sv.smin == 0
+    assert smin_stack(np.diag([3.0, 0.0])) == 0
 
 
 def test_singular_values_hand_svd():
     # [[0,2],[0,0]] has singular values (2, 0)
-    sv = singular_values(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    assert np.allclose(sv.values, [2, 0])
-
-
-def test_singular_values_sorted_and_gram():
-    rng = np.random.default_rng(2)
-    M = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    sv = singular_values(M).values
-    assert np.all(np.diff(sv) <= 0)
-    gram_eigs = np.sort(np.linalg.eigvalsh(M @ M.conj().T))[::-1]
-    assert np.allclose(sv**2, gram_eigs, rtol=1e-10)
-
-
-def test_singular_value_product_is_abs_det():
-    rng = np.random.default_rng(3)
-    for N in (2, 5, 16):
-        M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-        prod = np.prod(singular_values(M).values)
-        assert np.isclose(prod, abs(np.linalg.det(M)), rtol=1e-8)
+    assert np.isclose(smin_stack(np.array([[0.0, 2.0], [0.0, 0.0]])), 0)
+    assert np.isclose(smin_stack(np.array([[0.0, 2.0], [-0.5, 0.0]])), 0.5)
 
 
 def test_smin_lower_bounds_matrix_vector_products():
     rng = np.random.default_rng(4)
     M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    smin = singular_values(M).smin
+    smin = smin_stack(M)
     for _ in range(100):
         v = rng.normal(size=12) + 1j * rng.normal(size=12)
         v /= np.linalg.norm(v)
@@ -172,9 +152,10 @@ def test_smin_lower_bounds_matrix_vector_products():
 def test_singular_values_stack_matches_loop():
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(7, 5, 5)) + 1j * rng.normal(size=(7, 5, 5))
-    batched = singular_values_stack(stack)
+    batched = smin_stack(stack)
+    assert batched.shape == (7,)
     for k in range(7):
-        assert np.allclose(batched[k], singular_values(stack[k]).values)
+        assert np.isclose(batched[k], np.linalg.svd(stack[k], compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------- serialization
@@ -186,4 +167,14 @@ def test_spectrum_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == "re,im"
     back = SpectrumSample.from_csv(io.StringIO(text))
+    assert np.array_equal(back.eigenvalues, lam)
+
+
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1,
+                max_size=20))
+def test_spectrum_csv_round_trip_property(values):
+    lam = np.array(values, dtype=complex)
+    buf = io.StringIO()
+    SpectrumSample(eigenvalues=lam).to_csv(buf)
+    back = SpectrumSample.from_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(back.eigenvalues, lam)

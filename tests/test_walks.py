@@ -1,7 +1,11 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brownlab.linearize import BlockShift, assemble_Lz, build_linearization
 from brownlab.ncpoly import parse
@@ -87,6 +91,19 @@ def test_walkbasis_io_round_trip(tmp_path):
     U.save(tmp_path / "u.bin", tmp_path / "u.json")
     back = WalkBasis.load(tmp_path / "u.bin", tmp_path / "u.json")
     assert back.N == U.N and back.r == U.r
+    assert np.array_equal(back.U, U.U)
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_walkbasis_io_round_trip_property(N, r, seed):
+    rng = np.random.default_rng(seed)
+    d = r + 1
+    Q, _ = np.linalg.qr(rng.normal(size=(d * N, d)) + 1j * rng.normal(size=(d * N, d)))
+    U = WalkBasis(N=N, r=r, U=Q)
+    with tempfile.TemporaryDirectory() as tmp:
+        U.save(Path(tmp) / "u.bin", Path(tmp) / "u.json")
+        back = WalkBasis.load(Path(tmp) / "u.bin", Path(tmp) / "u.json")
+    assert (back.N, back.r) == (N, r)
     assert np.array_equal(back.U, U.U)
 
 
