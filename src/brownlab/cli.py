@@ -105,21 +105,24 @@ def parse_complex(text):
         raise CliError(f"cannot parse complex number {text!r}") from None
 
 
+def _increasing(vals):
+    if not (np.all(vals > 0) and np.all(np.diff(vals) > 0)):
+        raise CliError("ladder values must be positive and strictly increasing")
+    return vals
+
+
 def parse_ladder(text, default_count=10):
     """'lo:hi:log10[:count]' log-spaced ladder, or a comma list of values."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4) or parts[2] != "log10":
-            raise CliError(f"ladder must look like lo:hi:log10[:count], got {text!r}")
-        lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[3]) if len(parts) == 4 else default_count
-        if lo <= 0 or hi <= lo or count < 1:
-            raise CliError("ladder needs 0 < lo < hi and count >= 1")
-        return np.logspace(np.log10(lo), np.log10(hi), count)
-    vals = np.array([float(v) for v in text.split(",")])
-    if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
-        raise CliError("ladder values must be positive and increasing")
-    return vals
+    if ":" not in text:
+        return _increasing(np.array([float(v) for v in text.split(",")]))
+    parts = text.split(":")
+    if len(parts) not in (3, 4) or parts[2] != "log10":
+        raise CliError(f"ladder must look like lo:hi:log10[:count], got {text!r}")
+    count = int(parts[3]) if len(parts) == 4 else default_count
+    if count < 1:
+        raise CliError("ladder needs count >= 1")
+    lo, hi = np.log10(_increasing(np.array([float(parts[0]), float(parts[1])])))
+    return _increasing(np.logspace(lo, hi, count))
 
 
 def parse_grid(text):

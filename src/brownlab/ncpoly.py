@@ -177,11 +177,9 @@ def _format_term(word, coeff, first):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:"
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(?P<imag>i)?"
     r"|(?P<var>x\d+)"
     r"|(?P<op>[+\-*()])"
-    r")"
 )
 
 
@@ -204,9 +202,8 @@ class _Parser:
             self.tok = ("end", None, self.pos)
             return
         m = _TOKEN_RE.match(self.text, self.pos)
-        if not m or m.start() != self.pos:
+        if not m:
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        start = m.start(m.lastgroup) if m.lastgroup else self.pos
         if m.group("num") is not None:
             value = float(m.group("num"))
             coeff = 1j * value if m.group("imag") else complex(value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import brownlab.brown as brown
 from brownlab.brown import (
     BrownEstimate,
     LogPotentialField,
@@ -11,7 +12,7 @@ from brownlab.brown import (
     stieltjes,
 )
 from brownlab.ncpoly import parse
-from brownlab.pseudospec import GridSpec
+from brownlab.pseudospec import GridSpec, trial_matrix
 from brownlab.rmtcore import SpectrumSample
 
 ANTI = parse("x1*x2 + x2*x1")
@@ -44,6 +45,38 @@ def test_eigen_and_svd_routes_agree():
     b = log_potential(ANTI, 24, g, trials=2, seed=3, method="svd")
     assert np.allclose(a.h, b.h, atol=1e-12)
     assert np.array_equal(a.truncated_fraction, b.truncated_fraction)
+
+
+_ROUTE_GRID = GridSpec(-2, 2, -2, 2, 5, 5)  # nodes at 0, +-1, +-2 on each axis
+
+
+@pytest.mark.parametrize("P, floor, fallbacks, floored", [
+    # defective: the eigenvector matrix is singular, so no node is certified
+    (0.3 * np.eye(6) + np.diag(np.ones(5), 1), None, 25, 0),
+    # the eigenvalue 0 sits on a node: that node alone falls back and floors it
+    (np.diag([0.0, 0.3 + 0.2j, -0.7 + 0.4j, 0.5j, -1.3, 1.6 - 0.1j]), 1e-12, 1, 1),
+    (trial_matrix(ANTI, 20, 0, 0), None, 0, 0),
+], ids=["jordan", "eigenvalue_on_node", "generic_anti"])
+def test_auto_route_certifies_only_what_it_can_prove(P, floor, fallbacks, floored,
+                                                     monkeypatch):
+    monkeypatch.setattr(brown, "trial_matrix", lambda p, N, seed, trial: P)
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*a, **k):
+        svd_calls.append(1)
+        return svd(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    N = P.shape[0]
+    auto = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="auto")
+    assert len(svd_calls) == fallbacks
+    exact = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="svd")
+    assert np.array_equal(auto.truncated_fraction, exact.truncated_fraction)
+    assert auto.truncated_fraction.sum() == floored / N
+    if fallbacks == _ROUTE_GRID.nx * _ROUTE_GRID.ny:
+        assert np.array_equal(auto.h, exact.h)
+    assert np.allclose(auto.h, exact.h, rtol=0, atol=1e-12)
 
 
 def test_monotone_in_floor_shared_samples():

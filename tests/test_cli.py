@@ -42,6 +42,9 @@ def test_parse_ladder_forms():
     assert lad.tolist() == [0.001, 0.01, 0.1]
     with pytest.raises(ValueError):
         parse_ladder("1e-1:1e-6:log10")
+    # the rungs collapse in floating point: rejected before any sampling
+    with pytest.raises(ValueError):
+        parse_ladder("1:1.000000000000001:log10:50")
 
 
 def test_parse_grid_validation():
@@ -135,20 +138,29 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical backend failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
-     "--trials", "100"],
-    ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
-     "--trials", "2"],
-    ["smin-map", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3"],
-    ["area", "--poly", "x1*x2", "--N", "8", "--eps", "0.5", "--grid", "-1,1,-1,1,3,3"],
-])
-def test_linalg_error_exits_two(argv, tmp_path, capsys, monkeypatch):
+_LINALG_CASES = [
+    ("svd", ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
+             "--trials", "100"]),
+    ("svd", ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
+             "--trials", "2"]),
+    ("svd", ["smin-map", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3"]),
+    ("svd", ["area", "--poly", "x1*x2", "--N", "8", "--eps", "0.5",
+             "--grid", "-1,1,-1,1,3,3"]),
+    ("eig", ["brown", "--poly", "x1*x2+x2*x1", "--N", "8", "--grid", "-1,1,-1,1,5,5"]),
+    ("svd", ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0"]),
+    ("svd", ["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0",
+             "--eps", "1e-3:1e-1:log10:3", "--trials", "20"]),
+]
+
+
+@pytest.mark.parametrize("patched, argv", _LINALG_CASES,
+                         ids=[f"argv{i}" for i in range(len(_LINALG_CASES))])
+def test_linalg_error_exits_two(patched, argv, tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must still map to exit code 2.
     def boom(*a, **k):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError(f"forced {patched} failure")
 
-    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(np.linalg, patched, boom)
     assert dispatch(argv + ["-o", str(tmp_path)]) == 2
     assert "numerical backend failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brownlab.linearize import (
@@ -163,24 +163,27 @@ def test_verify_schur_figure_polynomial():
     assert verify_schur(lin, X, 0.2 + 0.3j) <= 1e-9
 
 
-def test_verify_schur_random_property():
-    rng = np.random.default_rng(5)
-    done = 0
-    trial = 0
-    while done < 50:
-        trial += 1
-        n = int(rng.integers(2, 5))
-        p = _random_degree2(rng, n)
-        N = int(rng.integers(2, 9))
-        X = ginibre_tuple(n, N, stream(6, STREAM_GINIBRE, trial))
-        z = complex(*rng.normal(size=2))
-        try:
-            lin = build_linearization(p)
-            residual = verify_schur(lin, X, z)
-        except SingularFactorError:
-            continue
-        assert residual <= 1e-8
-        done += 1
+@st.composite
+def degree2_polys(draw):
+    """Polynomials of degree exactly 2 in 2..4 variables, coefficients in the unit disk."""
+    n = draw(st.integers(2, 4))
+    words = [()] + [(l,) for l in range(1, n + 1)]
+    words += [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
+    p = NcPoly(n, {w: draw(st.complex_numbers(max_magnitude=1.0)) for w in words})
+    assume(p.degree == 2)
+    return p
+
+
+@settings(max_examples=50)
+@given(degree2_polys(), st.integers(2, 8), st.integers(0, 2**32 - 1),
+       st.complex_numbers(max_magnitude=3.0))
+def test_verify_schur_random_property(p, N, trial, z):
+    X = ginibre_tuple(p.num_vars, N, stream(6, STREAM_GINIBRE, trial))
+    try:
+        residual = verify_schur(build_linearization(p), X, z)
+    except SingularFactorError:
+        assume(False)
+    assert residual <= 1e-8
 
 
 def test_verify_schur_singular_reported_distinctly():
