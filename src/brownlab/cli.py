@@ -285,7 +285,9 @@ def _walk_basis(args, p):
 
 def _walks_delta(args, p, out):
     lin, U = _walk_basis(args, p)
-    threshold = args.threshold if args.threshold else float(args.N) ** (-lin.rank / 2 - 10)
+    threshold = args.threshold
+    if threshold is None:
+        threshold = float(args.N) ** (-lin.rank / 2 - 10)
     rep = delta_report(U, lin.s_matrix(), threshold)
     outputs = _save(out, {"delta.json": rep.to_json()})
     outputs |= {"walkbasis.bin": out / "walkbasis.bin", "walkbasis.json": out / "walkbasis.json"}

@@ -40,6 +40,8 @@ __all__ = [
 
 ORTHO_TOL = 1e-10       # orthonormality of basis columns, checked on every draw
 NULLSPACE_RTOL = 1e-12  # relative cutoff for reading off the null space
+_TUPLE_CHUNK = 32_768   # Delta tuples per batched det call
+_ROW_BLOCK = 64         # Gaussian rows drawn per step of the det-tail walk
 
 
 class DegenerateDrawError(RuntimeError):
@@ -198,10 +200,10 @@ def _delta_single(U, s_mat, l, indices):
     return np.linalg.det(np.stack(cols, axis=1))
 
 
-def _index_chunks(dims, chunk=200_000):
+def _index_chunks(dims):
     total = int(np.prod(dims))
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _TUPLE_CHUNK):
+        flat = np.arange(start, min(start + _TUPLE_CHUNK, total))
         yield np.unravel_index(flat, dims)
 
 
@@ -354,8 +356,11 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     """Small-ball ladder for |det(shift + sum_i U_i^* L_i)|.
 
     Fresh complex Gaussians with the (2N)^{-1/2}(g + i h) normalization
-    per trial; the walk is realized through vec(W) = Phi^* xi / sqrt(N),
-    so one matrix product covers all trials.
+    per trial; the walk is realized through vec(W) = Phi^* xi / sqrt(N).
+    The (nN x trials) blocks g and h are drawn row block by row block,
+    all of g and then all of h, which is bitwise the one-shot draw; each
+    block is folded into the (r+1)^2 projections at once, so memory is
+    O(((r+1)^2 + _ROW_BLOCK) * trials) and no complex xi is formed.
     """
     if trials < 100:
         raise ValueError("det tail experiments need trials >= 100")
@@ -365,11 +370,19 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     if shift.shape != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
     phi = walk_matrix(U, s_vectors).flat
+    pr, pi = phi.real.copy(), phi.imag.copy()
+    height = phi.shape[0]
     rng = stream(seed, STREAM_WALK)
-    g = rng.standard_normal((phi.shape[0], trials))
-    h = rng.standard_normal((phi.shape[0], trials))
-    xi = (g + 1j * h) / np.sqrt(2.0 * N)
-    vecs = phi.conj().T @ xi                      # ((r+1)^2, trials)
+    # Phi^* (g + i h) = (pr^T g + pi^T h) + i (pr^T h - pi^T g)
+    re = np.zeros((d * d, trials))
+    im = np.zeros((d * d, trials))
+    for to_re, to_im in ((pr, -pi), (pi, pr)):    # g, then h
+        for start in range(0, height, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, height)
+            block = rng.standard_normal((stop - start, trials))
+            re += to_re[start:stop].T @ block
+            im += to_im[start:stop].T @ block
+    vecs = (re + 1j * im) / np.sqrt(2.0 * N)      # ((r+1)^2, trials)
     W = vecs.T.reshape(trials, d, d).transpose(0, 2, 1) + shift[None, :, :]
     dets = np.abs(np.linalg.det(W))
     return TailEstimate.from_samples(dets, eps_ladder, z=None, N=N)

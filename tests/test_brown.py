@@ -56,7 +56,10 @@ _ROUTE_GRID = GridSpec(-2, 2, -2, 2, 5, 5)  # nodes at 0, +-1, +-2 on each axis
     # the eigenvalue 0 sits on a node: that node alone falls back and floors it
     (np.diag([0.0, 0.3 + 0.2j, -0.7 + 0.4j, 0.5j, -1.3, 1.6 - 0.1j]), 1e-12, 1, 1),
     (trial_matrix(ANTI, 20, 0, 0), None, 0, 0),
-], ids=["jordan", "eigenvalue_on_node", "generic_anti"])
+    # kappa_F(V) = 6 and no residual: at z = 0 the bound 6e-5 / 6 clears the
+    # floor by 10x, inside the guard margin, so that node alone falls back
+    (np.diag([6e-5, 0.3 + 0.2j, -0.7 + 0.4j, 0.5j, -1.3, 1.6 - 0.1j]), 1e-6, 1, 0),
+], ids=["jordan", "eigenvalue_on_node", "generic_anti", "inside_guard_margin"])
 def test_auto_route_certifies_only_what_it_can_prove(P, floor, fallbacks, floored,
                                                      monkeypatch):
     monkeypatch.setattr(brown, "trial_matrix", lambda p, N, seed, trial: P)

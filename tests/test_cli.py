@@ -310,6 +310,17 @@ def test_walks_delta_command(tmp_path, capsys):
     assert (tmp_path / "walkbasis.bin").exists()
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_walks_delta_rejects_nonpositive_threshold(threshold, tmp_path, capsys):
+    # an explicit 0 is a threshold, not a request for the N^(-r/2-10) default
+    code = dispatch(["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0",
+                     "--threshold", threshold, "-o", str(tmp_path)])
+    assert code == 1
+    assert "threshold must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "delta.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_walks_dettail_command(tmp_path, capsys):
     code = dispatch(
         ["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "14", "--z", "0",

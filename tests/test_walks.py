@@ -1,5 +1,6 @@
 import itertools
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brownlab import walks
 from brownlab.linearize import BlockShift, assemble_Lz, build_linearization
 from brownlab.ncpoly import parse
-from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
+from brownlab.pseudospec import TailEstimate
+from brownlab.rmtcore import STREAM_GINIBRE, STREAM_WALK, ginibre_tuple, stream
 from brownlab.walks import (
     DegenerateDrawError,
     WalkBasis,
@@ -278,6 +281,19 @@ def test_delta_sampled_bases_are_never_structured():
         assert np.linalg.svd(U.tall_block(0), compute_uv=False)[-1] > 0
 
 
+def test_delta_report_independent_of_tuple_chunk(monkeypatch):
+    # n = 3 > r = 2, so both families scan; a chunk of 7 divides neither
+    # N^r = 100 nor N^(r+1) = 1000
+    lin = build_linearization(parse("x1*x2 + x2*x1 + x3"))
+    X = ginibre_tuple(3, 10, stream(11, STREAM_GINIBRE, 0))
+    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 12, lin.rank)
+    whole = delta_report(U, lin.s_matrix(), threshold=1e-9)
+    monkeypatch.setattr(walks, "_TUPLE_CHUNK", 7)
+    chunked = delta_report(U, lin.s_matrix(), threshold=1e-9)
+    assert whole.witness1 is not None and whole.witness2 is not None
+    assert chunked == whole
+
+
 def test_delta_report_json_contains_witnesses():
     import json
 
@@ -440,3 +456,44 @@ def test_det_tail_deterministic():
     a = det_tail_experiment(U, lin.s_matrix(), 0, ladder, 300, seed=5)
     b = det_tail_experiment(U, lin.s_matrix(), 0, ladder, 300, seed=5)
     assert np.array_equal(a.hits, b.hits)
+
+
+def _one_shot_det_tail(U, s_vectors, shift, eps_ladder, trials, seed):
+    """The walk as one (nN x trials) complex Gaussian block: the reference."""
+    phi = walk_matrix(U, s_vectors).flat
+    rng = stream(seed, STREAM_WALK)
+    g = rng.standard_normal((phi.shape[0], trials))
+    h = rng.standard_normal((phi.shape[0], trials))
+    xi = (g + 1j * h) / np.sqrt(2.0 * U.N)
+    d = U.r + 1
+    W = (phi.conj().T @ xi).T.reshape(trials, d, d).transpose(0, 2, 1) + shift
+    return TailEstimate.from_samples(np.abs(np.linalg.det(W)), eps_ladder, z=None, N=U.N)
+
+
+def test_det_tail_matches_one_shot_draw():
+    # nN = 90 rows: one full row block and a partial one
+    lin, _, _, U = _anti_setup(45)
+    assert (2 * U.N) % walks._ROW_BLOCK
+    K = BlockShift(z=0.0, gamma=lin.gamma, dim=lin.dim).matrix
+    M = U.blocks[0].conj().T @ K
+    ladder = np.logspace(-5, -2, 13)
+    got = det_tail_experiment(U, lin.s_matrix(), M, ladder, 3000, seed=6)
+    ref = _one_shot_det_tail(U, lin.s_matrix(), M, ladder, 3000, seed=6)
+    assert 0 < got.hits[-1] < 3000
+    assert np.array_equal(got.hits, ref.hits)
+    assert got.slope == ref.slope
+
+
+def test_det_tail_memory_stays_below_one_gaussian_block():
+    # the one-shot form holds several (nN x trials) blocks; the row-blocked
+    # draw must stay below a single complex one
+    lin, _, _, U = _anti_setup(50)
+    trials = 20_000
+    block_bytes = 2 * U.N * trials * 16
+    tracemalloc.start()
+    try:
+        det_tail_experiment(U, lin.s_matrix(), 0, np.logspace(-6, -1, 6), trials, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block_bytes
