@@ -56,7 +56,6 @@ from .brown import (
 from .walks import (
     WalkBasis,
     DeltaReport,
-    WalkMatrix,
     DegenerateDrawError,
     orthocomplement_basis,
     block_column,

@@ -284,8 +284,10 @@ def _walk_basis(args, p):
 
 
 def _walks_delta(args, p, out):
-    lin, U = _walk_basis(args, p)
     threshold = args.threshold
+    if threshold is not None and threshold <= 0:
+        raise CliError("threshold must be positive")  # before the basis SVD
+    lin, U = _walk_basis(args, p)
     if threshold is None:
         threshold = float(args.N) ** (-lin.rank / 2 - 10)
     rep = delta_report(U, lin.s_matrix(), threshold)

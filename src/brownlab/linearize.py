@@ -4,10 +4,11 @@ A degree-2 polynomial p with quadratic coefficient matrix A of rank r is
 realized as the (0,0) resolvent block of an (r+1)N x (r+1)N matrix L^z
 whose entries are degree-1 in the inputs: write A = U S V*, put
 s_0 = conj(b), s_k = sigma_k v_k, and r_k = conj(u_k). Rotating the
-Gaussian inputs by the unitary R (rows r_k, completed to a basis) turns
-the top row into the rotated inputs themselves, which is the block form
-assembled here. The Schur complement of the lower-right -Id block then
-gives (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
+Gaussian inputs by the unitary R = U^T, so that (R x)_k = <r_k, x> for the
+r quadratic directions and the SVD's other left singular vectors fill the
+remaining rows, turns the top row into the rotated inputs themselves,
+which is the block form assembled here. The Schur complement of the
+lower-right -Id block then gives (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
 
 The SVD gauge (phases, ordering of degenerate singular directions) is not
 fixed; every downstream contract in this package is gauge invariant.
@@ -19,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ncpoly import NcPoly, evaluate, quadratic_data
 
@@ -52,8 +52,9 @@ class Linearization:
     """Vectors and rotation realizing the degree-2 linearization.
 
     s holds s_0..s_r from the SVD route (s_1..s_r nonzero and mutually
-    orthogonal); rotation is the n x n unitary whose first r rows turn the
-    quadratic left factors into coordinate projections.
+    orthogonal); rotation is the n x n unitary U^T, the transpose of the
+    SVD's left factor, whose first r rows turn the quadratic left factors
+    into coordinate projections.
     """
 
     rank: int
@@ -70,14 +71,9 @@ class Linearization:
     def dim(self):
         return self.rank + 1
 
-    def rotated_s(self):
-        """s-vectors in the rotated frame (the frame of assemble_Lz)."""
-        return [self.rotation @ sk for sk in self.s]
-
-    def s_matrix(self, rotated=True):
-        """Stack of the s-vectors as an (r+1) x n array."""
-        vecs = self.rotated_s() if rotated else self.s
-        return np.stack(vecs)
+    def s_matrix(self):
+        """The s-vectors in the rotated frame of assemble_Lz, as (r+1) x n."""
+        return np.stack([self.rotation @ sk for sk in self.s])
 
     def to_json(self):
         return json.dumps(
@@ -133,7 +129,6 @@ def build_linearization(p, rank_tol=1e-10):
     qd = quadratic_data(p, rank_tol=rank_tol)
     if qd.rank == 0:
         raise ValueError("quadratic part has numerical rank 0")
-    n = p.num_vars
     r = qd.rank
     U, sigma, Vh = np.linalg.svd(qd.A)
     s = [np.conj(qd.b)]
@@ -141,13 +136,9 @@ def build_linearization(p, rank_tol=1e-10):
         s.append(sigma[k] * np.conj(Vh[k]))
 
     # Rows k of the rotation are the unconjugated SVD left columns, so that
-    # (R x)_k recovers the k-th left linear factor of the quadratic part.
-    # The remaining rows are any orthonormal completion.
-    rows = U[:, :r].T
-    if r < n:
-        comp = scipy.linalg.null_space(np.conj(U[:, :r]).T)
-        rows = np.vstack([rows, comp.T])
-    return Linearization(rank=r, s=tuple(s), rotation=rows, gamma=qd.gamma, source=p)
+    # (R x)_k recovers the k-th left linear factor of the quadratic part for
+    # k < r; the full SVD's remaining columns complete R to a unitary.
+    return Linearization(rank=r, s=tuple(s), rotation=U.T, gamma=qd.gamma, source=p)
 
 
 def assemble_Lz(lin, X, z):

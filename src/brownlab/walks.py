@@ -27,7 +27,6 @@ from .rmtcore import STREAM_HAAR, STREAM_WALK, haar_unitary, stream
 __all__ = [
     "WalkBasis",
     "DeltaReport",
-    "WalkMatrix",
     "DegenerateDrawError",
     "orthocomplement_basis",
     "block_column",
@@ -282,33 +281,25 @@ def delta_report(U, s_vectors, threshold, structured_only=False):
     )
 
 
-@dataclass(frozen=True)
-class WalkMatrix:
-    """Phi = (Q R): covariance square root of the vectorized walk.
+def walk_matrix(U, s_vectors):
+    """Phi = (Q R), the (nN x (r+1)^2) covariance square root of the walk.
 
     The first r+1 columns stack Q^l = sum_k s_k[l] U^k over l in [n]; the
     remaining r(r+1) columns repeat U^0 down the block diagonal of the
     first r row blocks.
     """
-
-    flat: np.ndarray
-    q_block: np.ndarray
-    r_block: np.ndarray
-
-
-def walk_matrix(U, s_vectors):
     s_mat = np.atleast_2d(np.asarray(s_vectors, dtype=complex))
     r, N = U.r, U.N
     d = r + 1
     n = s_mat.shape[1]
     slabs = np.stack([U.tall_block(k) for k in range(d)])  # (r+1, N, r+1)
     Q = np.einsum("kl,kim->lim", s_mat, slabs)             # (n, N, r+1)
-    flat = np.zeros((n * N, d * d), dtype=complex)
+    phi = np.zeros((n * N, d * d), dtype=complex)
     for l in range(1, n + 1):
-        flat[(l - 1) * N:l * N, 0:d] = Q[l - 1]
+        phi[(l - 1) * N:l * N, 0:d] = Q[l - 1]
     for l in range(1, r + 1):
-        flat[(l - 1) * N:l * N, l * d:(l + 1) * d] = slabs[0]
-    return WalkMatrix(flat=flat, q_block=Q, r_block=flat[:, d:])
+        phi[(l - 1) * N:l * N, l * d:(l + 1) * d] = slabs[0]
+    return phi
 
 
 def wedge_norm(rows):
@@ -369,7 +360,7 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     shift = np.zeros((d, d)) if np.isscalar(shift) and shift == 0 else np.asarray(shift)
     if shift.shape != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
-    phi = walk_matrix(U, s_vectors).flat
+    phi = walk_matrix(U, s_vectors)
     pr, pi = phi.real.copy(), phi.imag.copy()
     height = phi.shape[0]
     rng = stream(seed, STREAM_WALK)

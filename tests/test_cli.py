@@ -1,5 +1,8 @@
 import json
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,22 @@ def _digests(outdir):
             continue
         out[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+# ------------------------------------------------------------ dependencies
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone; scipy is a test and benchmark extra
+    import brownlab
+
+    env = dict(os.environ)
+    src = str(Path(brownlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, brownlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------ flag parsing
@@ -311,8 +330,15 @@ def test_walks_delta_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threshold", ["0", "-1"])
-def test_walks_delta_rejects_nonpositive_threshold(threshold, tmp_path, capsys):
-    # an explicit 0 is a threshold, not a request for the N^(-r/2-10) default
+def test_walks_delta_rejects_nonpositive_threshold(threshold, tmp_path, capsys, monkeypatch):
+    # an explicit 0 is a threshold, not a request for the N^(-r/2-10) default;
+    # it is rejected before the basis (and its full SVD) is drawn
+    import brownlab.cli as cli
+
+    def drawn(*a, **k):
+        raise AssertionError("basis drawn before the threshold was checked")
+
+    monkeypatch.setattr(cli, "orthocomplement_basis", drawn)
     code = dispatch(["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0",
                      "--threshold", threshold, "-o", str(tmp_path)])
     assert code == 1

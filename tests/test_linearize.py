@@ -82,6 +82,31 @@ def test_build_rank_one_product():
     assert np.isclose(abs(lin.s[1][1]), 1)
 
 
+@pytest.mark.parametrize("text, n, r", [
+    ("x1*x2+x2*x1+x3", 3, 2),
+    ("x1*x2+x3*x4+x5", 5, 2),
+    ("x1*x1+x2", 2, 1),
+    ("x1*x2+0.5i*x2*x1+x3", 3, 2),  # complex A: conjugation would show
+])
+def test_build_rank_deficient_rotation(text, n, r):
+    # r < n: rows r..n-1 complete the rotation to a unitary
+    p = parse(text)
+    lin = build_linearization(p)
+    assert (lin.num_vars, lin.rank) == (n, r)
+    R = lin.rotation
+    assert np.abs(R @ R.conj().T - np.eye(n)).max() <= 1e-12
+    # the first r rows are the unconjugated left singular vectors of A
+    A = quadratic_data(p).A
+    sigma = np.linalg.svd(A, compute_uv=False)
+    for k in range(r):
+        assert np.allclose(A @ A.conj().T @ R[k], sigma[k] ** 2 * R[k], atol=1e-12)
+    assert np.abs(A.conj().T @ R[r:].T).max() <= 1e-12
+    recon = sum(np.outer(R[k - 1], np.conj(lin.s[k])) for k in range(1, r + 1))
+    assert np.abs(recon - A).max() <= 1e-12
+    X = ginibre_tuple(n, 6, stream(12, STREAM_GINIBRE, 0))
+    assert verify_schur(lin, X, 0.3 + 0.1j, tol=1e-8) <= 1e-8
+
+
 def test_build_rejects_wrong_degree():
     with pytest.raises(ValueError):
         build_linearization(parse("x1 + 2"))

@@ -155,7 +155,7 @@ def test_projection_relabeling_invariance_statistical():
     trials = 10_000
 
     def moments(basis, perm_seed):
-        phi = walk_matrix(basis, s).flat
+        phi = walk_matrix(basis, s)
         prng = np.random.default_rng(perm_seed)
         g = prng.standard_normal((phi.shape[0], trials))
         h = prng.standard_normal((phi.shape[0], trials))
@@ -314,9 +314,9 @@ def test_walk_matrix_shape_and_sparsity_rank_one():
     Lz = assemble_Lz(lin, X, 0.1)
     U = orthocomplement_basis(Lz, 0, 41, lin.rank)
     phi = walk_matrix(U, lin.s_matrix())
-    assert phi.flat.shape == (10, 4)
-    assert np.array_equal(phi.flat[:5, 2:4], U.tall_block(0))
-    assert np.all(phi.flat[5:, 2:4] == 0)
+    assert phi.shape == (10, 4)
+    assert np.array_equal(phi[:5, 2:4], U.tall_block(0))
+    assert np.all(phi[5:, 2:4] == 0)
 
 
 def test_walk_matrix_anticommutator_layout():
@@ -324,17 +324,17 @@ def test_walk_matrix_anticommutator_layout():
     s = lin.s_matrix()
     phi = walk_matrix(U, s)
     N, d = 6, 3
-    assert phi.flat.shape == (2 * N, 9)
+    assert phi.shape == (2 * N, 9)
     # U^0 repeats down the block diagonal of the R part
-    assert np.array_equal(phi.flat[0:N, d:2 * d], U.tall_block(0))
-    assert np.all(phi.flat[0:N, 2 * d:] == 0)
-    assert np.array_equal(phi.flat[N:, 2 * d:], U.tall_block(0))
-    assert np.all(phi.flat[N:, d:2 * d] == 0)
+    assert np.array_equal(phi[0:N, d:2 * d], U.tall_block(0))
+    assert np.all(phi[0:N, 2 * d:] == 0)
+    assert np.array_equal(phi[N:, 2 * d:], U.tall_block(0))
+    assert np.all(phi[N:, d:2 * d] == 0)
     # Q block rows are the walk coefficient vectors
     slabs = np.stack([U.tall_block(k) for k in range(d)])
     for l in (1, 2):
         Q = sum(s[k, l - 1] * slabs[k] for k in range(d))
-        assert np.allclose(phi.flat[(l - 1) * N:l * N, 0:d], Q)
+        assert np.allclose(phi[(l - 1) * N:l * N, 0:d], Q)
 
 
 def test_walk_matrix_covariance_contract():
@@ -343,7 +343,7 @@ def test_walk_matrix_covariance_contract():
     lin, _, _, U = _anti_setup(8)
     N, d, n = 8, 3, 2
     s = lin.s_matrix()
-    phi = walk_matrix(U, s).flat
+    phi = walk_matrix(U, s)
     rng = np.random.default_rng(44)
     trials = 10_000
     vecs = np.empty((trials, d * d), dtype=complex)
@@ -460,7 +460,7 @@ def test_det_tail_deterministic():
 
 def _one_shot_det_tail(U, s_vectors, shift, eps_ladder, trials, seed):
     """The walk as one (nN x trials) complex Gaussian block: the reference."""
-    phi = walk_matrix(U, s_vectors).flat
+    phi = walk_matrix(U, s_vectors)
     rng = stream(seed, STREAM_WALK)
     g = rng.standard_normal((phi.shape[0], trials))
     h = rng.standard_normal((phi.shape[0], trials))
