@@ -27,6 +27,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .pseudospec import GridField, GridSpec, trial_matrix
+from .rmtcore import shifted_svals
 
 __all__ = [
     "LogPotentialField",
@@ -71,7 +72,6 @@ def _h_one_sample(P, nodes_flat, floor, method):
     N = P.shape[0]
     h = np.empty(len(nodes_flat))
     trunc = np.zeros(len(nodes_flat))
-    eye = np.eye(N)
     if method == "auto":
         lam, V = np.linalg.eig(P)
         kappa = np.linalg.cond(V, "fro")
@@ -84,7 +84,7 @@ def _h_one_sample(P, nodes_flat, floor, method):
                 # equals (1/N) log |det(P - z)|, a function of eigenvalues.
                 h[k] = np.mean(np.log(dist))
                 continue
-        sv = np.linalg.svd(P - z * eye, compute_uv=False)
+        sv = shifted_svals(P, [z])[0]
         h[k] = np.mean(np.log(np.maximum(sv, floor)))
         trunc[k] = np.mean(sv <= floor)
     return h, trunc
@@ -177,10 +177,11 @@ def stieltjes(p, N, z, eta_ladder, trials, seed, threads=None):
     eta = np.asarray(eta_ladder, dtype=float)
     if np.any(eta <= 0):
         raise ValueError("eta ladder must be positive")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
     def one(trial):
-        P = trial_matrix(p, N, seed, trial)
-        sv = np.linalg.svd(P - z * np.eye(N), compute_uv=False)
+        sv = shifted_svals(trial_matrix(p, N, seed, trial), [z])[0]
         masses = sv * sv
         return np.array([np.mean(1.0 / (1j * e - masses)) for e in eta])
 

@@ -203,6 +203,8 @@ def _slope(est):
 # ------------------------------------------------------------ command bodies
 
 def _spectrum(args, p, out):
+    if args.trials < 1:
+        raise CliError("trials must be >= 1")
     lam = np.concatenate([esd(trial_matrix(p, args.N, args.seed, t)).eigenvalues
                           for t in range(args.trials)])
     path = out / "spectrum.csv"

@@ -93,7 +93,7 @@ class Linearization:
         rot = _uncvec(data["rotation"]).reshape(n, n)
         gamma = complex(data["gamma"][0], data["gamma"][1])
         if source is None:
-            source = NcPoly.zero(n)
+            source = NcPoly(n, {})
         return Linearization(
             rank=int(data["rank"]), s=s, rotation=rot, gamma=gamma, source=source
         )

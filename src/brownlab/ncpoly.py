@@ -138,14 +138,6 @@ class NcPoly:
     def __repr__(self):
         return f"NcPoly(n={self.num_vars}, {str(self)!r})"
 
-    @staticmethod
-    def zero(num_vars=1):
-        return NcPoly(num_vars, {})
-
-    @staticmethod
-    def variable(index, num_vars=None):
-        return NcPoly(num_vars or index, {(index,): 1.0})
-
 
 def _format_complex(c):
     # Shortest form accepted back by the grammar: float, float'i', or (a+bi).

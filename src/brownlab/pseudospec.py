@@ -24,7 +24,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .ncpoly import evaluate
-from .rmtcore import STREAM_GINIBRE, ginibre_tuple, smin_stack, stream, write_csv
+from .rmtcore import STREAM_GINIBRE, ginibre_tuple, shifted_svals, stream, write_csv
 
 __all__ = [
     "GridSpec",
@@ -43,8 +43,6 @@ __all__ = [
 # Rungs with fewer hits than this are dropped from the slope regression;
 # their Wilson intervals are too wide to constrain a fit.
 MIN_HITS_FOR_SLOPE = 5
-
-_SMIN_CHUNK = 64  # grid nodes per batched SVD call
 
 
 @dataclass(frozen=True)
@@ -230,25 +228,14 @@ class TailEstimate:
         )
 
 
-def _smin_nodes(P, nodes_flat):
-    """smin(P - z) for each z, in batched SVDs of _SMIN_CHUNK shifts."""
-    N = P.shape[0]
-    out = np.empty(len(nodes_flat))
-    eye = np.eye(N)
-    for start in range(0, len(nodes_flat), _SMIN_CHUNK):
-        zs = nodes_flat[start : start + _SMIN_CHUNK]
-        shifted = P[None, :, :] - zs[:, None, None] * eye[None, :, :]
-        out[start : start + len(zs)] = smin_stack(shifted)
-    return out
-
-
 def _smin_fields(p, N, grid, trials, seed, threads):
     """(trials, nodes) array of smin(P - z), one P per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     nodes = grid.nodes().ravel()
     return np.stack(parallel_map(
-        lambda t: _smin_nodes(trial_matrix(p, N, seed, t), nodes), range(trials), threads
+        lambda t: shifted_svals(trial_matrix(p, N, seed, t), nodes)[:, -1],
+        range(trials), threads,
     ))
 
 
@@ -274,8 +261,7 @@ def tail_estimate(p, N, z, eps_ladder, trials, seed, threads=None):
     """Small-ball ladder for smin(P - z) at a fixed z, fresh P per trial."""
 
     def one(trial):
-        P = trial_matrix(p, N, seed, trial)
-        return np.linalg.svd(P - z * np.eye(N), compute_uv=False)[-1]
+        return shifted_svals(trial_matrix(p, N, seed, trial), [z])[0, -1]
 
     return _tail_from_trials(one, trials, eps_ladder, z, N, threads)
 

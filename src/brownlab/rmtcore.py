@@ -21,7 +21,7 @@ __all__ = [
     "ginibre_tuple",
     "haar_unitary",
     "esd",
-    "smin_stack",
+    "shifted_svals",
     "write_csv",
 ]
 
@@ -115,6 +115,14 @@ def esd(M):
     return SpectrumSample(eigenvalues=np.linalg.eigvals(M))
 
 
-def smin_stack(stack):
-    """Smallest singular value of each matrix in a stack, by one batched SVD."""
-    return np.linalg.svd(stack, compute_uv=False)[..., -1]
+def shifted_svals(P, shifts):
+    """Singular values of P - z for each shift z, one descending row per shift.
+
+    One values-only SVD per shift, so only one shifted copy of P is alive
+    at a time however many shifts there are.
+    """
+    eye = np.eye(P.shape[0])
+    out = np.empty((len(shifts), P.shape[0]))
+    for k, z in enumerate(shifts):
+        out[k] = np.linalg.svd(P - z * eye, compute_uv=False)
+    return out

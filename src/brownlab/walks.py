@@ -156,9 +156,7 @@ class DeltaReport:
     """Maxima of the two Delta determinant families with witnesses.
 
     Witnesses are (variable index l, index tuple (i_0..i_r)); both maxima
-    strictly below the threshold marks the basis as structured. exact is
-    False when an early-exit scan stopped after both maxima cleared the
-    threshold.
+    strictly below the threshold marks the basis as structured.
     """
 
     delta_threshold: float
@@ -167,7 +165,6 @@ class DeltaReport:
     max_abs_delta2: float
     witness2: tuple | None
     structured: bool
-    exact: bool = True
 
     def to_json(self):
         def wit(w):
@@ -183,7 +180,8 @@ class DeltaReport:
                 "max_abs_delta2": self.max_abs_delta2,
                 "witness2": wit(self.witness2),
                 "structured": self.structured,
-                "exact": self.exact,
+                # every scan is exhaustive; the key stays for existing readers
+                "exact": True,
             },
             indent=1,
         )
@@ -206,14 +204,14 @@ def _index_chunks(dims):
         yield np.unravel_index(flat, dims)
 
 
-def delta_report(U, s_vectors, threshold, structured_only=False):
+def delta_report(U, s_vectors, threshold):
     """Exact maxima of |Delta| over both structured index families.
 
-    Family 1 ranges over l in [r+1, n] and all (r+1)-tuples; family 2
-    over l in [r] and tuples with i_0 = i_l. Tuples stream through in
-    chunks so the full tensor is never materialized. Family 2 goes
-    first (the smaller family); with structured_only the scan stops once
-    both families have a witness at or above the threshold.
+    One pass over l in [n]: for l in [r] (family 2) the tuples are
+    (i_1..i_r) with i_0 = i_l, for l in [r+1, n] (family 1) all
+    (i_0..i_r). Tuples stream through in chunks so the full tensor is
+    never materialized; the first strict maximum in scan order is the
+    witness.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -226,41 +224,16 @@ def delta_report(U, s_vectors, threshold, structured_only=False):
     vk = np.stack([U.v_rows(k) for k in range(r + 1)])  # (r+1, N, r+1)
     W = np.einsum("kl,kim->lim", np.conj(s_mat), vk)    # (n, N, r+1)
 
-    best = {1: [0.0, None], 2: [0.0, None]}
-
-    def scan(family, l):
-        hi, wit = best[family]
-        if family == 1:
-            for tup in _index_chunks((N,) * (r + 1)):
-                i0, tail = tup[0], tup[1:]
-                cols = [W[l - 1, i0]] + [v0[tail[m]] for m in range(r)]
-                dets = np.abs(np.linalg.det(np.stack(cols, axis=2)))
-                k = int(np.argmax(dets))
-                if dets[k] > hi:
-                    hi = float(dets[k])
-                    wit = (l, tuple(int(t[k]) for t in tup))
-        else:
-            for tail in _index_chunks((N,) * r):
-                i0 = tail[l - 1]
-                cols = [W[l - 1, i0]] + [v0[tail[m]] for m in range(r)]
-                dets = np.abs(np.linalg.det(np.stack(cols, axis=2)))
-                k = int(np.argmax(dets))
-                if dets[k] > hi:
-                    hi = float(dets[k])
-                    wit = (l, (int(i0[k]),) + tuple(int(t[k]) for t in tail))
-        best[family] = [hi, wit]
-
-    def settled():
-        done1 = n == r or best[1][0] >= threshold
-        return structured_only and done1 and best[2][0] >= threshold
-
-    plan = [(2, l) for l in range(1, r + 1)] + [(1, l) for l in range(r + 1, n + 1)]
-    exact = True
-    for step, fam_l in enumerate(plan):
-        scan(*fam_l)
-        if settled() and step < len(plan) - 1:
-            exact = False
-            break
+    best = {1: (0.0, None), 2: (0.0, None)}
+    for l in range(1, n + 1):
+        family = 2 if l <= r else 1
+        for tup in _index_chunks((N,) * (r if family == 2 else r + 1)):
+            i0, tail = (tup[l - 1], tup) if family == 2 else (tup[0], tup[1:])
+            cols = [W[l - 1, i0]] + [v0[t] for t in tail]
+            dets = np.abs(np.linalg.det(np.stack(cols, axis=2)))
+            k = int(np.argmax(dets))
+            if dets[k] > best[family][0]:
+                best[family] = (float(dets[k]), (l, tuple(int(t[k]) for t in (i0, *tail))))
 
     max1, wit1 = best[1]
     max2, wit2 = best[2]
@@ -277,7 +250,6 @@ def delta_report(U, s_vectors, threshold, structured_only=False):
         max_abs_delta2=max2,
         witness2=wit2,
         structured=structured,
-        exact=exact,
     )
 
 

@@ -218,6 +218,12 @@ def test_stieltjes_rejects_nonpositive_eta():
         stieltjes(ANTI, 8, 0.0, np.array([0.0, 1.0]), trials=1, seed=11)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_stieltjes_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        stieltjes(ANTI, 8, 0.0, np.array([0.1, 1.0]), trials=trials, seed=11)
+
+
 # ------------------------------------------------------------- comparison
 
 def _brown_from_histogram(grid, hist):

@@ -306,6 +306,17 @@ def test_brown_rejects_grid_without_interior_rectangle(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--poly", "x1*x2+x2*x1", "--N", "6"],
+    ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "6", "--eta", "0.1,1"],
+], ids=lambda argv: argv[0])
+def test_nonpositive_trials_exit_one_and_write_nothing(argv, trials, tmp_path, capsys):
+    assert dispatch(argv + ["--trials", trials, "-o", str(tmp_path)]) == 1
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stieltjes_command(tmp_path, capsys):
     code = dispatch(
         ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "10", "--z", "0",

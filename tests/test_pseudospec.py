@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_smin_map_full_statistics_are_consistent():
     med, mean, mn = smin_map_full(PRODUCT, 8, g, trials=5, seed=8)
     assert np.all(mn.values <= med.values + 1e-15)
     assert np.all(mn.values <= mean.values + 1e-15)
+
+
+def test_smin_map_memory_holds_one_shifted_matrix_at_a_time():
+    # one shifted copy of P is 0.6 MB at N = 200; a stack of 64 shifts and
+    # its temporary take about 80 MB
+    g = GridSpec(-1, 1, -1, 1, 9, 9)
+    tracemalloc.start()
+    try:
+        smin_map_full(ANTI, 200, g, trials=1, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ------------------------------------------------------------------ tails

@@ -12,7 +12,7 @@ from brownlab.rmtcore import (
     ginibre_matrix,
     ginibre_tuple,
     haar_unitary,
-    smin_stack,
+    shifted_svals,
     stream,
 )
 
@@ -126,23 +126,23 @@ def test_esd_similarity_invariance():
 # ------------------------------------------------- smallest singular value
 
 def test_singular_values_identity():
-    assert smin_stack(np.eye(4)) == 1
+    assert shifted_svals(np.eye(4), [0])[0, -1] == 1
 
 
 def test_singular_values_singular_matrix():
-    assert smin_stack(np.diag([3.0, 0.0])) == 0
+    assert shifted_svals(np.diag([3.0, 0.0]), [0])[0, -1] == 0
 
 
 def test_singular_values_hand_svd():
     # [[0,2],[0,0]] has singular values (2, 0)
-    assert np.isclose(smin_stack(np.array([[0.0, 2.0], [0.0, 0.0]])), 0)
-    assert np.isclose(smin_stack(np.array([[0.0, 2.0], [-0.5, 0.0]])), 0.5)
+    assert np.isclose(shifted_svals(np.array([[0.0, 2.0], [0.0, 0.0]]), [0])[0, -1], 0)
+    assert np.isclose(shifted_svals(np.array([[0.0, 2.0], [-0.5, 0.0]]), [0])[0, -1], 0.5)
 
 
 def test_smin_lower_bounds_matrix_vector_products():
     rng = np.random.default_rng(4)
     M = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    smin = smin_stack(M)
+    smin = shifted_svals(M, [0])[0, -1]
     for _ in range(100):
         v = rng.normal(size=12) + 1j * rng.normal(size=12)
         v /= np.linalg.norm(v)
@@ -151,11 +151,12 @@ def test_smin_lower_bounds_matrix_vector_products():
 
 def test_singular_values_stack_matches_loop():
     rng = np.random.default_rng(5)
-    stack = rng.normal(size=(7, 5, 5)) + 1j * rng.normal(size=(7, 5, 5))
-    batched = smin_stack(stack)
-    assert batched.shape == (7,)
-    for k in range(7):
-        assert np.isclose(batched[k], np.linalg.svd(stack[k], compute_uv=False)[-1])
+    P = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    shifts = rng.normal(size=7) + 1j * rng.normal(size=7)
+    svals = shifted_svals(P, shifts)
+    assert svals.shape == (7, 5)
+    for k, z in enumerate(shifts):
+        assert np.array_equal(svals[k], np.linalg.svd(P - z * np.eye(5), compute_uv=False))
 
 
 # ---------------------------------------------------------- serialization

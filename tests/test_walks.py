@@ -182,35 +182,44 @@ def test_projection_relabeling_invariance_statistical():
 # ------------------------------------------------------------------ delta
 
 def _brute_delta_maxima(U, s_mat):
-    """Exhaustive tensor oracle, independent of the streaming scan."""
+    """Exhaustive tensor oracle, independent of the streaming scan.
+
+    Returns (max, witness) per family, the witness being the first strict
+    maximum in ascending l and itertools.product order.
+    """
     r, N = U.r, U.N
     n = s_mat.shape[1]
     v = [np.conj(U.U[k * N:(k + 1) * N]) for k in range(r + 1)]
     w = [
         sum(np.conj(s_mat[k, l]) * v[k] for k in range(r + 1)) for l in range(n)
     ]
-    best1 = 0.0
+    best1, wit1 = 0.0, None
     for l in range(r + 1, n + 1):
         for tup in itertools.product(range(N), repeat=r + 1):
             cols = [w[l - 1][tup[0]]] + [v[0][i] for i in tup[1:]]
-            best1 = max(best1, abs(np.linalg.det(np.stack(cols, axis=1))))
-    best2 = 0.0
+            val = abs(np.linalg.det(np.stack(cols, axis=1)))
+            if val > best1:
+                best1, wit1 = val, (l, tup)
+    best2, wit2 = 0.0, None
     for l in range(1, r + 1):
         for tup in itertools.product(range(N), repeat=r):
             i0 = tup[l - 1]
             cols = [w[l - 1][i0]] + [v[0][i] for i in tup]
-            best2 = max(best2, abs(np.linalg.det(np.stack(cols, axis=1))))
-    return best1, best2
+            val = abs(np.linalg.det(np.stack(cols, axis=1)))
+            if val > best2:
+                best2, wit2 = val, (l, (i0,) + tup)
+    return (best1, wit1), (best2, wit2)
 
 
 def test_delta_matches_brute_force_tensor():
     lin, _, _, U = _anti_setup(12)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-6)
-    b1, b2 = _brute_delta_maxima(U, s)
+    (b1, w1), (b2, w2) = _brute_delta_maxima(U, s)
     assert rep.max_abs_delta1 == b1 == 0.0  # family 1 empty for n = r
-    assert rep.witness1 is None
+    assert rep.witness1 is None and w1 is None
     assert np.isclose(rep.max_abs_delta2, b2, rtol=1e-12)
+    assert rep.witness2 == w2
 
 
 def test_delta_family1_nonempty_when_n_exceeds_r():
@@ -221,10 +230,32 @@ def test_delta_family1_nonempty_when_n_exceeds_r():
     U = orthocomplement_basis(Lz, 0, 3, lin.rank)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-6)
-    b1, b2 = _brute_delta_maxima(U, s)
+    (b1, w1), (b2, w2) = _brute_delta_maxima(U, s)
     assert np.isclose(rep.max_abs_delta1, b1, rtol=1e-12)
     assert np.isclose(rep.max_abs_delta2, b2, rtol=1e-12)
     assert rep.witness1 is not None
+    assert (rep.witness1, rep.witness2) == (w1, w2)
+
+
+@pytest.mark.parametrize("text, n, N", [
+    ("x1*x2+x2*x1+x3", 3, 6),  # r = 2: family 2 over l = 1, 2; family 1 over l = 3
+    # r = 2, family 1 over l = 3..5; the s-vectors vanish at l = 1, 2, so
+    # every family-2 Delta is 0 and neither side has a family-2 witness
+    ("x1*x2+x3*x4+x5", 5, 4),
+])
+def test_delta_witnesses_follow_scan_order_in_both_families(text, n, N):
+    # the witnesses set the delta.json bytes, so the scan order is pinned
+    # against the oracle for a case with both families present
+    lin = build_linearization(parse(text, num_vars=n))
+    X = ginibre_tuple(n, N, stream(17, STREAM_GINIBRE, 0))
+    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 19, lin.rank)
+    s = lin.s_matrix()
+    rep = delta_report(U, s, threshold=1e-9)
+    (b1, w1), (b2, w2) = _brute_delta_maxima(U, s)
+    assert w1 is not None
+    assert np.isclose(rep.max_abs_delta1, b1, rtol=1e-12)
+    assert np.isclose(rep.max_abs_delta2, b2, rtol=1e-12)
+    assert (rep.witness1, rep.witness2) == (w1, w2)
 
 
 def test_delta_repeated_zero_rows_give_zero():
@@ -259,13 +290,6 @@ def test_delta_phase_invariance():
     rep2 = delta_report(U2, s, threshold=1e-6)
     assert np.isclose(rep.max_abs_delta1, rep2.max_abs_delta1, atol=1e-12)
     assert np.isclose(rep.max_abs_delta2, rep2.max_abs_delta2, rtol=1e-12)
-
-
-def test_delta_structured_only_early_exit():
-    lin, _, _, U = _anti_setup(10)
-    s = lin.s_matrix()
-    rep = delta_report(U, s, threshold=1e-9, structured_only=True)
-    assert not rep.structured
 
 
 def test_delta_sampled_bases_are_never_structured():
