@@ -2,14 +2,86 @@
 
 Results are reduced by index, and every task draws from its own Philox
 substream, so outputs are identical for any thread count or schedule.
+
+Every map runs on one BLAS thread. A trial's products, SVD and eig are
+too small for OpenBLAS's second thread to pay its hand-off (in `tail` at
+N=100 with two pool threads on two cores, `evaluate` takes 2.5 ms of
+thread time per trial on 2 BLAS threads and 1.0 ms on 1), and `eig`'s
+last bits depend on the BLAS thread count, so pinning it also makes the
+trial loops' outputs independent of the host's core count. The count is
+process-wide: the first map to start sets it to 1, and the last to end
+restores what it was, also when a task raises. Work outside a map (one
+large `eigvals` in `spectrum`, the walks commands) keeps every BLAS
+thread. Without numpy's bundled OpenBLAS the pin does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
 
 __all__ = ["default_threads", "parallel_map"]
+
+
+class _BlasPin:
+    """numpy's bundled OpenBLAS thread count, held at 1 while a map runs."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls = None  # (get, set), () when no OpenBLAS; found on first use
+        self._depth = 0
+        self._saved = None
+
+    def _lookup(self):
+        import numpy
+
+        libdir = Path(numpy.__file__).parent.parent / "numpy.libs"
+        for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
+            try:
+                dll = ctypes.CDLL(lib)
+                get = dll.scipy_openblas_get_num_threads64_
+                set_ = dll.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+        return ()
+
+    def _found(self):
+        if self._calls is None:
+            self._calls = self._lookup()
+        return self._calls
+
+    def threads(self):
+        """The BLAS thread count now, or None without numpy's OpenBLAS."""
+        with self._lock:
+            calls = self._found()
+            return calls[0]() if calls else None
+
+    @contextmanager
+    def one_thread(self):
+        with self._lock:
+            calls = self._found()
+            if calls and self._depth == 0:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if calls and self._depth == 0:
+                    calls[1](self._saved)
+
+
+_BLAS = _BlasPin()
 
 
 def default_threads():
@@ -21,10 +93,11 @@ def default_threads():
 
 
 def parallel_map(fn, items, threads=None):
-    """Map fn over items, preserving order; threads<=1 runs inline."""
+    """Map fn over items on one BLAS thread, preserving order; threads<=1 runs inline."""
     items = list(items)
     threads = default_threads() if threads is None else int(threads)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with _BLAS.one_thread():
+        if threads <= 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))

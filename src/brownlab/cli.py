@@ -3,9 +3,10 @@
 Every subcommand writes its artifacts plus a manifest.json recording the
 exact argument vector, parameter set, seed, tool version, wall-clock
 duration, and a sha256 digest per output file. Re-running the same
-arguments reproduces byte-identical outputs regardless of --threads, and
-`brownlab replay manifest.json -o DIR` re-executes a manifest and verifies
-the digests.
+arguments reproduces byte-identical outputs regardless of --threads and,
+for every command that runs its trials through the pool, of the BLAS
+thread count; `brownlab replay manifest.json -o DIR` re-executes a
+manifest and verifies the digests.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid), 2 numerical backend failure. Failure

@@ -267,8 +267,11 @@ def tail_estimate(p, N, z, eps_ladder, trials, seed, threads=None):
 
 
 def smin_shifted_tail(N, shift, eps_ladder, trials, seed, threads=None):
-    """Small-ball ladder for smin(X + M), X Ginibre, M a fixed shift."""
-    M = np.zeros((N, N)) if np.isscalar(shift) and shift == 0 else np.asarray(shift)
+    """Small-ball ladder for smin(X + M), X Ginibre, M a fixed shift.
+
+    A scalar shift c stands for c times the identity.
+    """
+    M = shift * np.eye(N) if np.ndim(shift) == 0 else np.asarray(shift)
     if M.shape != (N, N):
         raise ValueError("shift must be N x N")
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,6 +112,31 @@ def test_log_potential_deterministic_across_threads():
     a = log_potential(ANTI, 12, g, trials=3, seed=5, threads=1)
     b = log_potential(ANTI, 12, g, trials=3, seed=5, threads=3)
     assert np.array_equal(a.h, b.h)
+
+
+_H_DIGEST = """
+import hashlib
+from brownlab.brown import log_potential
+from brownlab.ncpoly import parse
+from brownlab.pseudospec import GridSpec
+g = GridSpec(-2.5, 2.5, -2.5, 2.5, 9, 9)
+fld = log_potential(parse("x1*x2 + x2*x1"), 100, g, trials=1, seed=1)
+print(hashlib.sha256(fld.h.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+def test_log_potential_bytes_do_not_depend_on_blas_threads():
+    # eig at N=100 rounds differently on 1 and 2 OpenBLAS threads; the
+    # trial pool runs it on one, whatever the environment asks for
+    src = str(Path(brown.__file__).resolve().parents[1])
+    digests = set()
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _H_DIGEST], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_seed_stability_of_h_at_origin():

@@ -188,6 +188,14 @@ def test_shifted_tail_accepts_identity_shift():
     assert est.trials == 100
 
 
+def test_shifted_tail_scalar_shift_is_a_multiple_of_identity():
+    ladder = np.logspace(-3, -1, 4)
+    scalar = smin_shifted_tail(15, 1.0, ladder, 100, seed=8)
+    matrix = smin_shifted_tail(15, np.eye(15), ladder, 100, seed=8)
+    assert scalar.hits.tobytes() == matrix.hits.tobytes()
+    assert smin_shifted_tail(5, 1.0, [0.1, 0.2], 100, seed=1).trials == 100
+
+
 def test_shifted_tail_shift_shape_validated():
     with pytest.raises(ValueError):
         smin_shifted_tail(10, np.eye(4), np.array([0.1]), 100, seed=9)
