@@ -26,7 +26,6 @@ from .rmtcore import (
 )
 from .linearize import (
     Linearization,
-    BlockShift,
     SingularFactorError,
     SchurMismatchError,
     build_linearization,

@@ -42,13 +42,7 @@ import numpy as np
 from . import __version__
 from ._pool import default_threads
 from .brown import brown_estimate, log_potential, stieltjes
-from .linearize import (
-    BlockShift,
-    SingularFactorError,
-    assemble_Lz,
-    build_linearization,
-    verify_schur,
-)
+from .linearize import SingularFactorError, assemble_Lz, build_linearization, verify_schur
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
 from .pseudospec import (
     GridSpec,
@@ -304,7 +298,7 @@ def _walks_delta(args, p, out):
 
 def _walks_dettail(args, p, out):
     lin, U = _walk_basis(args, p)
-    K = BlockShift(z=args.z, gamma=lin.gamma, dim=lin.dim).matrix
+    K = lin.pencil(args.z)[1]
     est = det_tail_experiment(U, lin.s_matrix(), U.blocks[args.j].conj().T @ K,
                               args.eps, args.trials, args.seed)
     outputs = _save(out, {"dettail.json": est.to_json()})

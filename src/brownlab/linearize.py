@@ -7,8 +7,10 @@ s_0 = conj(b), s_k = sigma_k v_k, and r_k = conj(u_k). Rotating the
 Gaussian inputs by the unitary R = U^T, so that (R x)_k = <r_k, x> for the
 r quadratic directions and the SVD's other left singular vectors fill the
 remaining rows, turns the top row into the rotated inputs themselves,
-which is the block form assembled here. The Schur complement of the
-lower-right -Id block then gives (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
+which is the block form assembled here. Written as a pencil,
+L^z = K^z (x) Id + sum_l A_l (x) X_l with (r+1) x (r+1) coefficients A_l
+and K^z = diag(gamma - z, -Id_r). The Schur complement of the lower-right
+-Id block then gives (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
 
 The SVD gauge (phases, ordering of degenerate singular directions) is not
 fixed; every downstream contract in this package is gauge invariant.
@@ -25,7 +27,6 @@ from .ncpoly import NcPoly, evaluate, quadratic_data
 
 __all__ = [
     "Linearization",
-    "BlockShift",
     "SingularFactorError",
     "build_linearization",
     "assemble_Lz",
@@ -71,6 +72,20 @@ class Linearization:
     def dim(self):
         return self.rank + 1
 
+    def pencil(self, z):
+        """The coefficients (A, K) of L^z = kron(K, Id) + sum_l kron(A[l], X_l).
+
+        A has shape (n, r+1, r+1): A_l[0,0] = conj(s_0[l]),
+        A_l[0,k] = R[k-1,l] and A_l[k,0] = conj(s_k[l]) for k = 1..r, zero
+        elsewhere. K = diag(gamma - z, -1, ..., -1) is (r+1) x (r+1).
+        """
+        A = np.zeros((self.num_vars, self.dim, self.dim), dtype=complex)
+        A[:, :, 0] = np.conj(np.stack(self.s)).T
+        A[:, 0, 1:] = self.rotation[:self.rank].T
+        K = -np.eye(self.dim, dtype=complex)
+        K[0, 0] = self.gamma - z
+        return A, K
+
     def s_matrix(self):
         """The s-vectors in the rotated frame of assemble_Lz, as (r+1) x n."""
         return np.stack([self.rotation @ sk for sk in self.s])
@@ -107,21 +122,6 @@ def _uncvec(pairs):
     return np.array([complex(a, b) for a, b in pairs])
 
 
-@dataclass(frozen=True)
-class BlockShift:
-    """The z-dependent constant block K^z = diag(gamma - z, -Id_r)."""
-
-    z: complex
-    gamma: complex
-    dim: int
-
-    @property
-    def matrix(self):
-        K = -np.eye(self.dim, dtype=complex)
-        K[0, 0] = self.gamma - self.z
-        return K
-
-
 def build_linearization(p, rank_tol=1e-10):
     """Construct the linearization of a polynomial of degree exactly 2."""
     if p.degree != 2:
@@ -142,11 +142,11 @@ def build_linearization(p, rank_tol=1e-10):
 
 
 def assemble_Lz(lin, X, z):
-    """Assemble L^z from raw inputs; the rotation is applied internally.
+    """Assemble L^z from raw inputs as sum_l kron(A_l, X_l) + kron(K^z, Id).
 
-    Block layout: row 0 is (Y_0 + (gamma - z) Id, Xr_1, ..., Xr_r) with
-    Xr_k the rotated inputs, column 0 is (., Y_1, ..., Y_r) with
-    Y_k = sum_l conj(s_k[l]) X_l, and -Id on the remaining diagonal.
+    The pencil (A, K^z) of lin.pencil carries the block layout, the
+    rotation included; X needs at least lin.num_vars square matrices of
+    equal size, and any beyond those are ignored.
     """
     X = [np.asarray(M) for M in X]
     n = lin.num_vars
@@ -156,20 +156,8 @@ def assemble_Lz(lin, X, z):
     for M in X[:n]:
         if M.shape != (N, N):
             raise ValueError("all matrices must be square of equal size")
-    r = lin.rank
-    R = lin.rotation
-    d = r + 1
-
-    L = np.zeros((d * N, d * N), dtype=complex)
-    Y0 = sum(np.conj(lin.s[0][l]) * X[l] for l in range(n))
-    L[0:N, 0:N] = Y0 + (lin.gamma - z) * np.eye(N)
-    for k in range(1, d):
-        Xrot = sum(R[k - 1, l] * X[l] for l in range(n))
-        Yk = sum(np.conj(lin.s[k][l]) * X[l] for l in range(n))
-        L[0:N, k * N:(k + 1) * N] = Xrot
-        L[k * N:(k + 1) * N, 0:N] = Yk
-        L[k * N:(k + 1) * N, k * N:(k + 1) * N] = -np.eye(N)
-    return L
+    A, K = lin.pencil(z)
+    return sum(np.kron(A_l, X_l) for A_l, X_l in zip(A, X)) + np.kron(K, np.eye(N))
 
 
 # Invertibility guard for both factors entering the resolvent identity.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class TailEstimate:
     hits: np.ndarray
     trials: int
     slope: float | None
-    ci: tuple = field(default=())
+    ci: tuple
 
     @property
     def rates(self):
@@ -205,7 +205,7 @@ class TailEstimate:
     def to_json(self):
         ladder = []
         for k, eps in enumerate(self.eps_ladder):
-            lo, hi = self.ci[k] if self.ci else (None, None)
+            lo, hi = self.ci[k]
             ladder.append(
                 {
                     "eps": float(eps),

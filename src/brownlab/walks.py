@@ -323,13 +323,14 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     The (nN x trials) blocks g and h are drawn row block by row block,
     all of g and then all of h, which is bitwise the one-shot draw; each
     block is folded into the (r+1)^2 projections at once, so memory is
-    O(((r+1)^2 + _ROW_BLOCK) * trials) and no complex xi is formed.
+    O(((r+1)^2 + _ROW_BLOCK) * trials) and no complex xi is formed. A
+    scalar shift c stands for c times the (r+1) x (r+1) identity.
     """
     if trials < 100:
         raise ValueError("det tail experiments need trials >= 100")
     r, N = U.r, U.N
     d = r + 1
-    shift = np.zeros((d, d)) if np.isscalar(shift) and shift == 0 else np.asarray(shift)
+    shift = shift * np.eye(d) if np.ndim(shift) == 0 else np.asarray(shift)
     if shift.shape != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
     phi = walk_matrix(U, s_vectors)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import brownlab as bl
-from brownlab.linearize import BlockShift, SingularFactorError
+from brownlab.linearize import SingularFactorError
 from brownlab.ncpoly import NcPoly, circular_word_traces, free_moment
 from brownlab.pseudospec import GridSpec, smin_shifted_tail, tail_estimate
 from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
@@ -178,7 +178,7 @@ def test_criterion_7_determinant_anticoncentration():
     U = orthocomplement_basis(Lz, 0, 171, lin.rank)
     rep = delta_report(U, lin.s_matrix(), float(N) ** (-lin.rank / 2 - 10))
     delta = max(rep.max_abs_delta1, rep.max_abs_delta2)
-    K = BlockShift(z=0.0, gamma=lin.gamma, dim=lin.dim).matrix
+    K = lin.pencil(0.0)[1]
     M = U.blocks[0].conj().T @ K
     ladder = np.logspace(-6, -2, 9)
     est = det_tail_experiment(U, lin.s_matrix(), M, ladder, 10_000, seed=172)

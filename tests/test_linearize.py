@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brownlab.linearize import (
-    BlockShift,
     Linearization,
     SchurMismatchError,
     SingularFactorError,
@@ -33,6 +32,17 @@ def _random_degree2(rng, n):
 def _disk(rng):
     z = complex(*rng.normal(size=2))
     return z / max(1.0, abs(z))
+
+
+@st.composite
+def degree2_polys(draw):
+    """Polynomials of degree exactly 2 in 2..4 variables, coefficients in the unit disk."""
+    n = draw(st.integers(2, 4))
+    words = [()] + [(l,) for l in range(1, n + 1)]
+    words += [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
+    p = NcPoly(n, {w: draw(st.complex_numbers(max_magnitude=1.0)) for w in words})
+    assume(p.degree == 2)
+    return p
 
 
 # ------------------------------------------------------------ construction
@@ -114,11 +124,28 @@ def test_build_rejects_wrong_degree():
         build_linearization(parse("x1*x2*x1"))
 
 
-def test_block_shift_matrix():
-    K = BlockShift(z=1.0, gamma=0.0, dim=3).matrix
-    assert np.allclose(K, np.diag([-1.0, -1.0, -1.0]))
-    K2 = BlockShift(z=2j, gamma=1.0, dim=2).matrix
-    assert np.allclose(K2, np.diag([1 - 2j, -1.0]))
+@pytest.mark.parametrize("text, z", [
+    ("x1*x2 + x2*x1", 1.0),
+    ("x1*x2+x2*x1+x3", 0.3 - 0.2j),
+    ("x1*x2+0.5i*x2*x1+x3", 2j),
+    ("x1*x1+x2 - 0.7", -0.4 + 0.1j),
+    ("x1*x2 - 0.3*x2*x3 + 0.1*x3*x1 + 0.2i*x2 + 1.5", 0.5j),
+])
+def test_pencil_reads_back_quadratic_data(text, z):
+    p = parse(text)
+    lin = build_linearization(p)
+    A, K = lin.pencil(z)
+    n, d = lin.num_vars, lin.dim
+    assert A.shape == (n, d, d) and K.shape == (d, d)
+    qd = quadratic_data(p)
+    assert np.array_equal(A[:, 0, 0], qd.b)
+    quad = np.einsum("lk,mk->lm", A[:, 0, 1:], A[:, 1:, 0])
+    assert np.abs(quad - qd.A).max() <= 1e-12
+    assert np.isclose(K[0, 0] + z, qd.gamma, rtol=0, atol=1e-15)
+    assert np.array_equal(np.diag(K)[1:], -np.ones(d - 1))
+    # no other entry is set: A_l is an arrow, K is diagonal
+    assert not A[:, 1:, 1:].any()
+    assert not (K - np.diag(np.diag(K))).any()
 
 
 # -------------------------------------------------------------- assembly
@@ -139,7 +166,7 @@ def test_assemble_zero_inputs_is_pure_shift():
     lin = build_linearization(parse("x1*x2 + x2*x1"))
     Z = np.zeros((2, 2))
     L = assemble_Lz(lin, [Z, Z], 1.0)
-    K = BlockShift(z=1.0, gamma=lin.gamma, dim=lin.dim).matrix
+    K = lin.pencil(1.0)[1]
     assert np.allclose(L, np.kron(K, np.eye(2)))
 
 
@@ -155,6 +182,34 @@ def test_assemble_corner_block_oracle():
     Y0 = sum(qd.b[l] * X[l] for l in range(3)) + (qd.gamma - z) * np.eye(4)
     assert np.allclose(L[:4, :4], Y0, atol=1e-12)
     assert L.shape == ((lin.rank + 1) * 4,) * 2
+
+
+def _reference_Lz(lin, X, z):
+    """L^z assembled block by block from the stored fields: the reference.
+
+    Row 0 is (Y_0 + (gamma - z) Id, Xr_1, ..., Xr_r) with Xr_k the rotated
+    inputs, column 0 is (., Y_1, ..., Y_r) with Y_k = sum_l conj(s_k[l]) X_l,
+    and -Id fills the remaining diagonal.
+    """
+    n, r, R, N = lin.num_vars, lin.rank, lin.rotation, X[0].shape[0]
+    d = r + 1
+    L = np.zeros((d * N, d * N), dtype=complex)
+    Y0 = sum(np.conj(lin.s[0][l]) * X[l] for l in range(n))
+    L[0:N, 0:N] = Y0 + (lin.gamma - z) * np.eye(N)
+    for k in range(1, d):
+        L[0:N, k * N:(k + 1) * N] = sum(R[k - 1, l] * X[l] for l in range(n))
+        L[k * N:(k + 1) * N, 0:N] = sum(np.conj(lin.s[k][l]) * X[l] for l in range(n))
+        L[k * N:(k + 1) * N, k * N:(k + 1) * N] = -np.eye(N)
+    return L
+
+
+@settings(max_examples=50)
+@given(degree2_polys(), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.complex_numbers(max_magnitude=3.0))
+def test_assemble_equals_block_reference(p, N, trial, z):
+    lin = build_linearization(p)
+    X = ginibre_tuple(p.num_vars, N, stream(10, STREAM_GINIBRE, trial))
+    assert np.array_equal(assemble_Lz(lin, X, z), _reference_Lz(lin, X, z))
 
 
 def test_assemble_dimension_errors():
@@ -186,17 +241,6 @@ def test_verify_schur_figure_polynomial():
     lin = build_linearization(parse("x1*x2 - 0.3*x2*x3 + 0.1*x3*x1"))
     X = ginibre_tuple(3, 5, stream(4, STREAM_GINIBRE, 0))
     assert verify_schur(lin, X, 0.2 + 0.3j) <= 1e-9
-
-
-@st.composite
-def degree2_polys(draw):
-    """Polynomials of degree exactly 2 in 2..4 variables, coefficients in the unit disk."""
-    n = draw(st.integers(2, 4))
-    words = [()] + [(l,) for l in range(1, n + 1)]
-    words += [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
-    p = NcPoly(n, {w: draw(st.complex_numbers(max_magnitude=1.0)) for w in words})
-    assume(p.degree == 2)
-    return p
 
 
 @settings(max_examples=50)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brownlab import walks
-from brownlab.linearize import BlockShift, assemble_Lz, build_linearization
+from brownlab.linearize import assemble_Lz, build_linearization
 from brownlab.ncpoly import parse
 from brownlab.pseudospec import TailEstimate
 from brownlab.rmtcore import STREAM_GINIBRE, STREAM_WALK, ginibre_tuple, stream
@@ -126,6 +126,25 @@ def test_projection_determinant_bound():
     hL = test_projection(U, block_column(Lz, 0, lin.rank))
     sv = np.linalg.svd(hL, compute_uv=False)
     assert abs(np.linalg.det(hL)) <= sv[-1] * sv[0] ** lin.rank * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("text", ["x1*x2 + x2*x1", "x1*x2+x2*x1+x3", "x1*x2+0.5i*x2*x1+x3"])
+@pytest.mark.parametrize("j", [0, 5])
+def test_projection_is_shift_plus_walk(text, j):
+    # U^* (block column j) = U_j^* K + sum_{l,i} X_l[i,j] U_i^* A_l: the
+    # constant part is the shift walks-dettail adds to the walk
+    p = parse(text)
+    lin = build_linearization(p)
+    N, z = 8, 0.3 - 0.1j
+    X = ginibre_tuple(p.num_vars, N, stream(11, STREAM_GINIBRE, 0))
+    Lz = assemble_Lz(lin, X, z)
+    U = orthocomplement_basis(Lz, j, 12, lin.rank)
+    A, K = lin.pencil(z)
+    Ui = U.blocks
+    walk = sum(X[l][i, j] * Ui[i].conj().T @ A[l]
+               for l in range(p.num_vars) for i in range(N))
+    hL = test_projection(U, block_column(Lz, j, lin.rank))
+    assert np.abs(hL - (Ui[j].conj().T @ K + walk)).max() <= 1e-12
 
 
 def test_projection_scan_bounds_smin_of_Lz():
@@ -452,12 +471,22 @@ def test_det_tail_unstructured_slope():
     lin, _, _, U = _anti_setup(30)
     rep = delta_report(U, lin.s_matrix(), threshold=1e-9)
     assert not rep.structured
-    K = BlockShift(z=0.0, gamma=lin.gamma, dim=lin.dim).matrix
+    K = lin.pencil(0.0)[1]
     M = U.blocks[0].conj().T @ K
     est = det_tail_experiment(
         U, lin.s_matrix(), M, np.logspace(-6, -2, 9), 2000, seed=2
     )
     assert est.slope >= 1 / 3 - 0.1
+
+
+def test_det_tail_scalar_shift_is_a_multiple_of_identity():
+    lin, _, _, U = _anti_setup(9)
+    ladder = np.logspace(-3, -0.5, 6)
+    for c in (0.5, 0.2 - 0.3j):
+        scalar = det_tail_experiment(U, lin.s_matrix(), c, ladder, 400, seed=8)
+        matrix = det_tail_experiment(U, lin.s_matrix(), c * np.eye(3), ladder, 400, seed=8)
+        assert 0 < scalar.hits[-1] < 400
+        assert np.array_equal(scalar.hits, matrix.hits)
 
 
 def test_det_tail_rate_one_above_max_det():
@@ -498,7 +527,7 @@ def test_det_tail_matches_one_shot_draw():
     # nN = 90 rows: one full row block and a partial one
     lin, _, _, U = _anti_setup(45)
     assert (2 * U.N) % walks._ROW_BLOCK
-    K = BlockShift(z=0.0, gamma=lin.gamma, dim=lin.dim).matrix
+    K = lin.pencil(0.0)[1]
     M = U.blocks[0].conj().T @ K
     ladder = np.logspace(-5, -2, 13)
     got = det_tail_experiment(U, lin.s_matrix(), M, ladder, 3000, seed=6)
