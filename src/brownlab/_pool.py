@@ -13,17 +13,24 @@ process-wide: the first map to start sets it to 1, and the last to end
 restores what it was, also when a task raises. Work outside a map (one
 large `eigvals` in `spectrum`, the walks commands) keeps every BLAS
 thread. Without numpy's bundled OpenBLAS the pin does nothing.
+
+Pool threads gain because a trial's largest cost, its SVD, runs without
+the GIL: `rmtcore.shifted_svals` calls LAPACK through `_openblas.svdvals`,
+and ctypes releases the GIL for the call, while `np.linalg.svd` holds it
+for the whole call. On two cores, 600 values-only SVDs at N=100 take
+1.62 ms per task on one pool thread and 1.94 ms on two with
+`np.linalg.svd`, and 1.61 and 0.90 ms through `svdvals`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from pathlib import Path
+
+from ._openblas import symbol
 
 __all__ = ["default_threads", "parallel_map"]
 
@@ -38,20 +45,9 @@ class _BlasPin:
         self._saved = None
 
     def _lookup(self):
-        import numpy
-
-        libdir = Path(numpy.__file__).parent.parent / "numpy.libs"
-        for lib in sorted(glob.glob(str(libdir / "*openblas*"))):
-            try:
-                dll = ctypes.CDLL(lib)
-                get = dll.scipy_openblas_get_num_threads64_
-                set_ = dll.scipy_openblas_set_num_threads64_
-            except (OSError, AttributeError):
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
-        return ()
+        get = symbol("openblas_get_num_threads", ctypes.c_int)
+        set_ = symbol("openblas_set_num_threads", None, ctypes.c_int)
+        return () if get is None or set_ is None else (get, set_)
 
     def _found(self):
         if self._calls is None:

@@ -101,14 +101,13 @@ class Linearization:
         )
 
     @staticmethod
-    def from_json(text, source=None):
+    def from_json(text, source):
+        """Read back `to_json`; the JSON does not store the source polynomial."""
         data = json.loads(text)
         s = tuple(_uncvec(v) for v in data["s"])
         n = len(s[0])
         rot = _uncvec(data["rotation"]).reshape(n, n)
         gamma = complex(data["gamma"][0], data["gamma"][1])
-        if source is None:
-            source = NcPoly(n, {})
         return Linearization(
             rank=int(data["rank"]), s=s, rotation=rot, gamma=gamma, source=source
         )

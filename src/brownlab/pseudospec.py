@@ -277,7 +277,7 @@ def smin_shifted_tail(N, shift, eps_ladder, trials, seed, threads=None):
 
     def one(trial):
         X = trial_tuple(1, N, seed, trial)[0]
-        return np.linalg.svd(X + M, compute_uv=False)[-1]
+        return shifted_svals(X + M, [0.0])[0, -1]
 
     return _tail_from_trials(one, trials, eps_ladder, None, N, threads)
 

@@ -4,8 +4,11 @@ All randomness flows through counter-based Philox streams keyed by
 ``(master seed, stream id, draw index)``, so that Monte Carlo trials are
 reproducible no matter how they are scheduled across workers.
 
-Decompositions call numpy directly, so a LAPACK failure raises numpy's
-LinAlgError and ends the run (exit code 2 from the CLI).
+Decompositions call numpy directly, except the singular values of
+`shifted_svals`, which call LAPACK's values-only ``zgesdd`` from numpy's
+OpenBLAS through `_openblas.svdvals` (with the same bytes as
+`np.linalg.svd`, but without holding the GIL). A LAPACK failure raises
+numpy's LinAlgError and ends the run (exit code 2 from the CLI).
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._openblas import svdvals
 
 __all__ = [
     "SpectrumSample",
@@ -119,10 +124,11 @@ def shifted_svals(P, shifts):
     """Singular values of P - z for each shift z, one descending row per shift.
 
     One values-only SVD per shift, so only one shifted copy of P is alive
-    at a time however many shifts there are.
+    at a time however many shifts there are. P - z is taken as complex128,
+    as every P from `evaluate` already is.
     """
     eye = np.eye(P.shape[0])
     out = np.empty((len(shifts), P.shape[0]))
     for k, z in enumerate(shifts):
-        out[k] = np.linalg.svd(P - z * eye, compute_uv=False)
+        out[k] = svdvals(P - z * eye)
     return out

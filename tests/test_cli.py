@@ -158,13 +158,14 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
 
 
 _LINALG_CASES = [
-    ("svd", ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
-             "--trials", "100"]),
-    ("svd", ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
-             "--trials", "2"]),
-    ("svd", ["smin-map", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3"]),
-    ("svd", ["area", "--poly", "x1*x2", "--N", "8", "--eps", "0.5",
-             "--grid", "-1,1,-1,1,3,3"]),
+    # the sigma(P - z) commands reach LAPACK through rmtcore's kernel
+    ("svdvals", ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
+                 "--trials", "100"]),
+    ("svdvals", ["stieltjes", "--poly", "x1*x2+x2*x1", "--N", "8", "--eta", "0.1,1.0",
+                 "--trials", "2"]),
+    ("svdvals", ["smin-map", "--poly", "x1*x2", "--N", "8", "--grid", "-1,1,-1,1,3,3"]),
+    ("svdvals", ["area", "--poly", "x1*x2", "--N", "8", "--eps", "0.5",
+                 "--grid", "-1,1,-1,1,3,3"]),
     ("eig", ["brown", "--poly", "x1*x2+x2*x1", "--N", "8", "--grid", "-1,1,-1,1,5,5"]),
     ("svd", ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0"]),
     ("svd", ["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0",
@@ -176,10 +177,12 @@ _LINALG_CASES = [
                          ids=[f"argv{i}" for i in range(len(_LINALG_CASES))])
 def test_linalg_error_exits_two(patched, argv, tmp_path, capsys, monkeypatch):
     # LinAlgError subclasses ValueError; it must still map to exit code 2.
+    import brownlab.rmtcore as rmtcore
+
     def boom(*a, **k):
         raise np.linalg.LinAlgError(f"forced {patched} failure")
 
-    monkeypatch.setattr(np.linalg, patched, boom)
+    monkeypatch.setattr(rmtcore if patched == "svdvals" else np.linalg, patched, boom)
     assert dispatch(argv + ["-o", str(tmp_path)]) == 2
     assert "numerical backend failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -260,6 +263,16 @@ def test_tail_deterministic_outputs(tmp_path, capsys):
     assert _digests(d1) == _digests(d2)
     est = json.loads((d1 / "tail.json").read_text())
     assert est["trials"] == 100
+
+
+def test_tail_thread_invariance(tmp_path, capsys):
+    # two pool threads run their SVDs at the same time, outside the GIL
+    base = ["tail", "--poly", "x1*x2+x2*x1", "--N", "30", "--z", "0.1+0.2i",
+            "--eps", "1e-3:1e-1:log10:4", "--trials", "200", "--seed", "3"]
+    d1, d2 = tmp_path / "t1", tmp_path / "t2"
+    assert dispatch(base + ["--threads", "1", "-o", str(d1)]) == 0
+    assert dispatch(base + ["--threads", "2", "-o", str(d2)]) == 0
+    assert _digests(d1) == _digests(d2)
 
 
 def test_smin_map_thread_invariance(tmp_path, capsys):

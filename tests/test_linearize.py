@@ -316,3 +316,10 @@ def test_linearization_json_round_trip_property(seed, n):
     assert back.rank == lin.rank and back.gamma == lin.gamma
     assert np.array_equal(back.rotation, lin.rotation)
     assert all(np.array_equal(a, b) for a, b in zip(back.s, lin.s, strict=True))
+
+
+def test_linearization_from_json_requires_source():
+    # the JSON does not store the polynomial; a default would stand in P = 0
+    lin = build_linearization(parse("x1*x2 + x2*x1"))
+    with pytest.raises(TypeError):
+        Linearization.from_json(lin.to_json())
