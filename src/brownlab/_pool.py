@@ -32,7 +32,7 @@ from contextlib import contextmanager
 
 from ._openblas import symbol
 
-__all__ = ["default_threads", "parallel_map"]
+__all__ = ["blas_record", "default_threads", "parallel_map"]
 
 
 class _BlasPin:
@@ -78,6 +78,18 @@ class _BlasPin:
 
 
 _BLAS = _BlasPin()
+
+
+def blas_record():
+    """numpy's OpenBLAS build string and its thread count outside any map.
+
+    Both are None without numpy's bundled OpenBLAS. A manifest keeps this
+    record, outside its digests, because the walks commands and
+    `spectrum` run outside the pin, so their bytes can depend on it.
+    """
+    config = symbol("openblas_get_config", ctypes.c_char_p)
+    vendor = None if config is None else config().decode(errors="replace").strip()
+    return {"vendor": vendor, "threads": _BLAS.threads()}
 
 
 def default_threads():

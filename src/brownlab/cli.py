@@ -2,11 +2,13 @@
 
 Every subcommand writes its artifacts plus a manifest.json recording the
 exact argument vector, parameter set, seed, tool version, wall-clock
-duration, and a sha256 digest per output file. Re-running the same
-arguments reproduces byte-identical outputs regardless of --threads and,
-for every command that runs its trials through the pool, of the BLAS
-thread count; `brownlab replay manifest.json -o DIR` re-executes a
-manifest and verifies the digests.
+duration, the BLAS build and thread count, and a sha256 digest per
+output file. Re-running the same arguments reproduces byte-identical
+outputs regardless of --threads and, for every command that runs its
+trials through the pool, of the BLAS thread count; `brownlab replay
+manifest.json -o DIR` re-executes a manifest and verifies the digests.
+Replay does not compare the BLAS record; it is there to explain a
+mismatch on a host with another BLAS or thread count.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid), 2 numerical backend failure. Failure
@@ -40,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._pool import default_threads
+from ._pool import blas_record, default_threads
 from .brown import brown_estimate, log_potential, stieltjes
 from .linearize import SingularFactorError, assemble_Lz, build_linearization, verify_schur
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
@@ -151,6 +153,7 @@ def _write_manifest(outdir, command, argv, params, seed, t0, outputs):
         "master_seed": seed,
         "version": __version__,
         "duration_s": round(time.time() - t0, 6),
+        "blas": blas_record(),
         "outputs": {name: _sha256(path) for name, path in outputs.items()},
     }
     path = Path(outdir) / "manifest.json"
@@ -297,6 +300,8 @@ def _walks_delta(args, p, out):
 
 
 def _walks_dettail(args, p, out):
+    if args.trials < 100:
+        raise CliError("det tail experiments need trials >= 100")  # before the basis SVD
     lin, U = _walk_basis(args, p)
     K = lin.pencil(args.z)[1]
     est = det_tail_experiment(U, lin.s_matrix(), U.blocks[args.j].conj().T @ K,

@@ -12,6 +12,12 @@ coefficients Delta built from the rows of the blocks, by the structured
 sets they define, and by the walk matrix Phi whose Gram matrix is the
 covariance of the vectorized walk. This module makes each of those
 objects samplable so the theory's inequalities can be checked on draws.
+
+With Ginibre entries the steps are circular Gaussian, so the walk is a
+circular Gaussian matrix whose law depends on Phi^* Phi alone: the
+determinant experiment draws it in its (r+1)^2 coordinates through a QR
+of Phi, not through the nN Gaussians of the steps. That shortcut needs
+Gaussian steps; a walk with other step laws must be summed in full.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ __all__ = [
 ORTHO_TOL = 1e-10       # orthonormality of basis columns, checked on every draw
 NULLSPACE_RTOL = 1e-12  # relative cutoff for reading off the null space
 _TUPLE_CHUNK = 32_768   # Delta tuples per batched det call
-_ROW_BLOCK = 64         # Gaussian rows drawn per step of the det-tail walk
 
 
 class DegenerateDrawError(RuntimeError):
@@ -197,46 +202,56 @@ def _delta_single(U, s_mat, l, indices):
     return np.linalg.det(np.stack(cols, axis=1))
 
 
-def _index_chunks(dims):
-    total = int(np.prod(dims))
-    for start in range(0, total, _TUPLE_CHUNK):
-        flat = np.arange(start, min(start + _TUPLE_CHUNK, total))
-        yield np.unravel_index(flat, dims)
-
-
 def delta_report(U, s_vectors, threshold):
     """Exact maxima of |Delta| over both structured index families.
 
-    One pass over l in [n]: for l in [r] (family 2) the tuples are
-    (i_1..i_r) with i_0 = i_l, for l in [r+1, n] (family 1) all
-    (i_0..i_r). Tuples stream through in chunks so the full tensor is
-    never materialized; the first strict maximum in scan order is the
-    witness.
+    For l in [r] (family 2) the tuples are (i_1..i_r) with i_0 = i_l, for
+    l in [r+1, n] (family 1) all (i_0..i_r). The scan walks the N^r tails
+    (i_1..i_r) in chunks of at most _TUPLE_CHUNK, so the full tensor is
+    never materialized. Each chunk's (tuples, r+1, r+1) block gets its
+    v^0 tail columns once; then for every l in [r], and for every l in
+    [r+1, n] and i_0, only its first column is rewritten, and one batched
+    det covers the chunk. The witness is the first strict maximum in the
+    scan order (l, then i_0, then the tail): exact ties, which
+    permutations of one tuple can give, go to the earlier scan position
+    whatever the chunking.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     s_mat = np.atleast_2d(np.asarray(s_vectors, dtype=complex))
     r, N = U.r, U.N
+    d = r + 1
     n = s_mat.shape[1]
-    if s_mat.shape[0] != r + 1:
+    if s_mat.shape[0] != d:
         raise ValueError("need r+1 s-vectors")
     v0 = U.v_rows(0)                                    # (N, r+1)
-    vk = np.stack([U.v_rows(k) for k in range(r + 1)])  # (r+1, N, r+1)
+    vk = np.stack([U.v_rows(k) for k in range(d)])      # (r+1, N, r+1)
     W = np.einsum("kl,kim->lim", np.conj(s_mat), vk)    # (n, N, r+1)
 
-    best = {1: (0.0, None), 2: (0.0, None)}
-    for l in range(1, n + 1):
-        family = 2 if l <= r else 1
-        for tup in _index_chunks((N,) * (r if family == 2 else r + 1)):
-            i0, tail = (tup[l - 1], tup) if family == 2 else (tup[0], tup[1:])
-            cols = [W[l - 1, i0]] + [v0[t] for t in tail]
-            dets = np.abs(np.linalg.det(np.stack(cols, axis=2)))
+    T = N ** r
+    best = {1: (0.0, None, None), 2: (0.0, None, None)}  # (max, scan position, witness)
+    for start in range(0, T, _TUPLE_CHUNK):
+        flat = np.arange(start, min(start + _TUPLE_CHUNK, T))
+        tails = [flat // N ** (r - 1 - c) % N for c in range(r)]  # i_1..i_r
+        block = np.empty((flat.size, d, d), dtype=complex)
+        for c, t in enumerate(tails):
+            block[:, :, c + 1] = v0[t]
+        # (family, l, scan position of the chunk's first tuple, i_0)
+        heads = [(2, l, (l - 1) * T, tails[l - 1]) for l in range(1, r + 1)]
+        heads += [(1, l, ((l - 1) * N + i0) * T, i0)
+                  for l in range(r + 1, n + 1) for i0 in range(N)]
+        for family, l, base, i0 in heads:
+            block[:, :, 0] = W[l - 1, i0]
+            dets = np.abs(np.linalg.det(block))
             k = int(np.argmax(dets))
-            if dets[k] > best[family][0]:
-                best[family] = (float(dets[k]), (l, tuple(int(t[k]) for t in (i0, *tail))))
+            top, pos, wit = best[family]
+            here = base + start + k
+            if dets[k] > top or (wit is not None and dets[k] == top and here < pos):
+                head = int(i0[k] if family == 2 else i0)
+                best[family] = (float(dets[k]), here, (l, (head, *(int(t[k]) for t in tails))))
 
-    max1, wit1 = best[1]
-    max2, wit2 = best[2]
+    max1, _, wit1 = best[1]
+    max2, _, wit2 = best[2]
     for fam_wit, fam_max in ((wit1, max1), (wit2, max2)):
         if fam_wit is not None:
             check = abs(_delta_single(U, s_mat, fam_wit[0], fam_wit[1]))
@@ -315,16 +330,30 @@ def select_rows(U0, alpha):
     return chosen
 
 
+def _walk_draws(U, s_vectors, trials, seed):
+    """vec(W) of `trials` Gaussian walks, as a ((r+1)^2, trials) array."""
+    R = np.linalg.qr(walk_matrix(U, s_vectors), mode="r")  # (k, (r+1)^2)
+    rng = stream(seed, STREAM_WALK)
+    g = rng.standard_normal((R.shape[0], trials))
+    h = rng.standard_normal((R.shape[0], trials))
+    return R.conj().T @ (g + 1j * h) / np.sqrt(2.0 * U.N)
+
+
 def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     """Small-ball ladder for |det(shift + sum_i U_i^* L_i)|.
 
-    Fresh complex Gaussians with the (2N)^{-1/2}(g + i h) normalization
-    per trial; the walk is realized through vec(W) = Phi^* xi / sqrt(N).
-    The (nN x trials) blocks g and h are drawn row block by row block,
-    all of g and then all of h, which is bitwise the one-shot draw; each
-    block is folded into the (r+1)^2 projections at once, so memory is
-    O(((r+1)^2 + _ROW_BLOCK) * trials) and no complex xi is formed. A
-    scalar shift c stands for c times the (r+1) x (r+1) identity.
+    The steps are complex Gaussians with the (2N)^{-1/2}(g + i h)
+    normalization, so vec(W) = Phi^* xi / sqrt(N) with xi iid CN(0, 1) of
+    length nN. The walk is drawn in its (r+1)^2 coordinates instead. With
+    Phi = Q R from a QR of Phi (R has k = min(nN, (r+1)^2) rows),
+    Phi^* xi = R^* (Q^* xi), and Q^* xi is again iid CN(0, 1) because the
+    circular Gaussian is unitarily invariant. So the walk stream gives a
+    (k x trials) block g, then h, and vec(W) = R^* (g + i h) / sqrt(2N).
+    The law is exact, also for a rank-deficient Phi (the structured
+    case), and memory is O((r+1)^2 trials). The reduction assumes
+    circular Gaussian steps; any other step law needs the full
+    nN-dimensional walk. A scalar shift c stands for c times the
+    (r+1) x (r+1) identity.
     """
     if trials < 100:
         raise ValueError("det tail experiments need trials >= 100")
@@ -333,20 +362,7 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     shift = shift * np.eye(d) if np.ndim(shift) == 0 else np.asarray(shift)
     if shift.shape != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
-    phi = walk_matrix(U, s_vectors)
-    pr, pi = phi.real.copy(), phi.imag.copy()
-    height = phi.shape[0]
-    rng = stream(seed, STREAM_WALK)
-    # Phi^* (g + i h) = (pr^T g + pi^T h) + i (pr^T h - pi^T g)
-    re = np.zeros((d * d, trials))
-    im = np.zeros((d * d, trials))
-    for to_re, to_im in ((pr, -pi), (pi, pr)):    # g, then h
-        for start in range(0, height, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, height)
-            block = rng.standard_normal((stop - start, trials))
-            re += to_re[start:stop].T @ block
-            im += to_im[start:stop].T @ block
-    vecs = (re + 1j * im) / np.sqrt(2.0 * N)      # ((r+1)^2, trials)
+    vecs = _walk_draws(U, s_vectors, trials, seed)
     W = vecs.T.reshape(trials, d, d).transpose(0, 2, 1) + shift[None, :, :]
     dets = np.abs(np.linalg.det(W))
     return TailEstimate.from_samples(dets, eps_ladder, z=None, N=N)

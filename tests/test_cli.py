@@ -169,7 +169,7 @@ _LINALG_CASES = [
     ("eig", ["brown", "--poly", "x1*x2+x2*x1", "--N", "8", "--grid", "-1,1,-1,1,5,5"]),
     ("svd", ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0"]),
     ("svd", ["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0",
-             "--eps", "1e-3:1e-1:log10:3", "--trials", "20"]),
+             "--eps", "1e-3:1e-1:log10:3", "--trials", "100"]),
 ]
 
 
@@ -380,6 +380,53 @@ def test_walks_dettail_command(tmp_path, capsys):
     assert code == 0
     est = json.loads((tmp_path / "dettail.json").read_text())
     assert est["trials"] == 500
+
+
+@pytest.mark.parametrize("trials", ["99", "0"])
+def test_walks_dettail_rejects_few_trials_before_the_basis(trials, tmp_path, capsys,
+                                                          monkeypatch):
+    import brownlab.cli as cli
+
+    def drawn(*a, **k):
+        raise AssertionError("basis drawn before the trial count was checked")
+
+    monkeypatch.setattr(cli, "orthocomplement_basis", drawn)
+    code = dispatch(["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0",
+                     "--eps", "1e-3,1e-2", "--trials", trials, "-o", str(tmp_path)])
+    assert code == 1
+    assert "trials >= 100" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_records_blas_and_replay_ignores_it(tmp_path, capsys):
+    from brownlab._pool import _BLAS
+
+    rundir = tmp_path / "run"
+    args = ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0", "--seed", "4"]
+    assert dispatch(args + ["-o", str(rundir)]) == 0
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    blas = manifest["blas"]
+    assert set(blas) == {"vendor", "threads"}
+    assert "blas" not in manifest["outputs"]
+    if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        assert blas["vendor"].startswith("OpenBLAS")
+        assert blas["threads"] == _BLAS.threads() >= 1
+    else:
+        assert blas == {"vendor": None, "threads": None}
+    # a record from another host does not fail the replay
+    manifest["blas"] = {"vendor": "another BLAS", "threads": 64}
+    (rundir / "manifest.json").write_text(json.dumps(manifest))
+    code = dispatch(["replay", str(rundir / "manifest.json"), "-o", str(tmp_path / "r")])
+    assert code == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
+def test_blas_record_is_null_without_openblas(monkeypatch):
+    from brownlab import _pool
+
+    monkeypatch.setattr(_pool, "symbol", lambda *a: None)
+    monkeypatch.setattr(_pool, "_BLAS", _pool._BlasPin())
+    assert _pool.blas_record() == {"vendor": None, "threads": None}
 
 
 def test_manifest_contents_and_replay(tmp_path, capsys):

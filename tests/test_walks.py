@@ -337,6 +337,70 @@ def test_delta_report_independent_of_tuple_chunk(monkeypatch):
     assert chunked == whole
 
 
+def _per_tuple_delta_maxima(U, s):
+    """First strict maximum of |_delta_single| in scan order, one tuple at a time.
+
+    |.| is np.abs, as in the scan: Python's abs rounds complex moduli
+    differently in the last bit.
+    """
+    r, N, n = U.r, U.N, s.shape[1]
+    best = {1: (0.0, None), 2: (0.0, None)}
+    for l in range(1, n + 1):
+        family = 2 if l <= r else 1
+        for tup in itertools.product(range(N), repeat=r if family == 2 else r + 1):
+            ind = (tup[l - 1], *tup) if family == 2 else tup
+            val = np.abs(walks._delta_single(U, s, l, ind))
+            if val > best[family][0]:
+                best[family] = (val, (l, ind))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [walks._TUPLE_CHUNK, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 7])
+def test_delta_report_equals_per_tuple_loop(seed, chunk, monkeypatch):
+    # for x1*x2+x2*x1+x3, w_3 = v^0, so every family-1 Delta is
+    # det[v0[i0], v0[i1], v0[i2]]: permutations of the maximizing tuple
+    # tie, on each of these seeds bit for bit. A chunk of 7 tails visits
+    # them out of scan order, so the witness must come from the scan
+    # position, not from the order of discovery
+    lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
+    s = lin.s_matrix()
+    X = ginibre_tuple(3, 5, stream(seed, STREAM_GINIBRE, 0))
+    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, seed + 100, lin.rank)
+    monkeypatch.setattr(walks, "_TUPLE_CHUNK", chunk)
+    rep = delta_report(U, s, threshold=1e-9)
+    ref = _per_tuple_delta_maxima(U, s)
+    assert (rep.max_abs_delta1, rep.witness1) == ref[1]
+    assert (rep.max_abs_delta2, rep.witness2) == ref[2]
+    top, (l, _) = ref[1]
+    tied = [t for t in itertools.product(range(5), repeat=3)
+            if np.abs(walks._delta_single(U, s, l, t)) == top]
+    assert len(tied) > 1
+
+
+@pytest.mark.parametrize("chunk", [walks._TUPLE_CHUNK, 7])
+def test_delta_report_det_batches_cover_every_tuple_once(chunk, monkeypatch):
+    # the batch sizes of det calls sum to r N^r + (n - r) N^(r+1), each at
+    # most _TUPLE_CHUNK (the witness re-check is one 2-d det, not a batch)
+    lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
+    N, r, n = 9, lin.rank, 3
+    X = ginibre_tuple(n, N, stream(21, STREAM_GINIBRE, 0))
+    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 22, r)
+    sizes = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        if a.ndim > 2:
+            sizes.append(int(np.prod(a.shape[:-2])))
+        return det(a)
+
+    monkeypatch.setattr(walks, "_TUPLE_CHUNK", chunk)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    delta_report(U, lin.s_matrix(), threshold=1e-9)
+    assert sum(sizes) == r * N**r + (n - r) * N ** (r + 1)
+    assert max(sizes) <= chunk
+
+
 def test_delta_report_json_contains_witnesses():
     import json
 
@@ -511,6 +575,35 @@ def test_det_tail_deterministic():
     assert np.array_equal(a.hits, b.hits)
 
 
+def test_walk_qr_coordinates_reproduce_the_walk():
+    # Phi^* xi = R^* (Q^* xi) for a fixed xi, and the sampler's R is the
+    # R of that factorization
+    lin, _, _, U = _anti_setup(12)
+    phi = walk_matrix(U, lin.s_matrix())
+    Q, R = np.linalg.qr(phi)
+    rng = np.random.default_rng(61)
+    xi = rng.standard_normal(phi.shape[0]) + 1j * rng.standard_normal(phi.shape[0])
+    assert np.abs(phi.conj().T @ xi - R.conj().T @ (Q.conj().T @ xi)).max() <= 1e-12
+    assert np.abs(np.linalg.qr(phi, mode="r") - R).max() <= 1e-12
+
+
+def test_det_tail_walk_covariance_within_standard_errors():
+    # vec W is circular Gaussian with covariance Phi^* Phi / N: for each
+    # entry, the empirical E[v_a conj(v_b)] has standard error
+    # sqrt(S_aa S_bb / T) and E[v_a v_b] (zero) has sqrt((S_aa S_bb + |S_ab|^2) / T)
+    lin, _, _, U = _anti_setup(8)
+    phi = walk_matrix(U, lin.s_matrix())
+    trials = 20_000
+    v = walks._walk_draws(U, lin.s_matrix(), trials, seed=62)
+    assert v.shape == (9, trials)
+    S = phi.conj().T @ phi / U.N
+    var = np.outer(np.diag(S).real, np.diag(S).real)
+    cov = v @ v.conj().T / trials
+    pseudo = v @ v.T / trials
+    assert np.all(np.abs(cov - S) <= 5 * np.sqrt(var / trials) + 1e-12)
+    assert np.all(np.abs(pseudo) <= 5 * np.sqrt((var + np.abs(S) ** 2) / trials) + 1e-12)
+
+
 def _one_shot_det_tail(U, s_vectors, shift, eps_ladder, trials, seed):
     """The walk as one (nN x trials) complex Gaussian block: the reference."""
     phi = walk_matrix(U, s_vectors)
@@ -523,30 +616,44 @@ def _one_shot_det_tail(U, s_vectors, shift, eps_ladder, trials, seed):
     return TailEstimate.from_samples(np.abs(np.linalg.det(W)), eps_ladder, z=None, N=U.N)
 
 
-def test_det_tail_matches_one_shot_draw():
-    # nN = 90 rows: one full row block and a partial one
+def test_det_tail_rates_agree_with_the_full_walk():
+    # every rung within 4 pooled binomial standard errors of the full
+    # nN-dimensional walk, drawn independently (seed 106 against 6)
     lin, _, _, U = _anti_setup(45)
-    assert (2 * U.N) % walks._ROW_BLOCK
     K = lin.pencil(0.0)[1]
     M = U.blocks[0].conj().T @ K
     ladder = np.logspace(-5, -2, 13)
-    got = det_tail_experiment(U, lin.s_matrix(), M, ladder, 3000, seed=6)
-    ref = _one_shot_det_tail(U, lin.s_matrix(), M, ladder, 3000, seed=6)
-    assert 0 < got.hits[-1] < 3000
-    assert np.array_equal(got.hits, ref.hits)
-    assert got.slope == ref.slope
+    trials = 3000
+    got = det_tail_experiment(U, lin.s_matrix(), M, ladder, trials, seed=106)
+    ref = _one_shot_det_tail(U, lin.s_matrix(), M, ladder, trials, seed=6)
+    assert 0 < got.hits[-1] < trials
+    pooled = (got.hits + ref.hits) / (2 * trials)
+    se = np.sqrt(2 * pooled * (1 - pooled) / trials)
+    assert np.all(np.abs(got.rates - ref.rates) <= 4 * se)
+
+
+def test_det_tail_runs_when_nN_is_below_the_walk_dimension():
+    # N = 1: nN = 2 < (r+1)^2 = 9, so R has 2 rows and the walk spans a
+    # 2-dimensional subspace of the 3 x 3 matrices
+    lin, _, _, U = _anti_setup(1)
+    v = walks._walk_draws(U, lin.s_matrix(), 500, seed=63)
+    assert v.shape == (9, 500)
+    assert np.linalg.matrix_rank(v) == 2
+    est = det_tail_experiment(U, lin.s_matrix(), 0.5, np.logspace(-3, 0, 4), 500, seed=63)
+    assert np.all(np.diff(est.hits) >= 0) and est.hits[-1] <= 500
 
 
 def test_det_tail_memory_stays_below_one_gaussian_block():
-    # the one-shot form holds several (nN x trials) blocks; the row-blocked
-    # draw must stay below a single complex one
+    # the draw never forms an nN-row block: peak memory is a few complex
+    # (r+1)^2 x trials arrays, whatever N (here 4 of them are 11.5 MB,
+    # while one complex nN x trials block would be 32 MB)
     lin, _, _, U = _anti_setup(50)
     trials = 20_000
-    block_bytes = 2 * U.N * trials * 16
+    walk_bytes = (U.r + 1) ** 2 * trials * 16
     tracemalloc.start()
     try:
         det_tail_experiment(U, lin.s_matrix(), 0, np.logspace(-6, -1, 6), trials, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < block_bytes
+    assert peak < 4 * walk_bytes
