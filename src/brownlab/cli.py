@@ -286,7 +286,7 @@ def _walk_basis(args, p):
 def _walks_delta(args, p, out):
     threshold = args.threshold
     if threshold is not None and threshold <= 0:
-        raise CliError("threshold must be positive")  # before the basis SVD
+        raise CliError("threshold must be positive")  # before the basis is drawn
     lin, U = _walk_basis(args, p)
     if threshold is None:
         threshold = float(args.N) ** (-lin.rank / 2 - 10)
@@ -301,7 +301,7 @@ def _walks_delta(args, p, out):
 
 def _walks_dettail(args, p, out):
     if args.trials < 100:
-        raise CliError("det tail experiments need trials >= 100")  # before the basis SVD
+        raise CliError("det tail experiments need trials >= 100")  # before the basis is drawn
     lin, U = _walk_basis(args, p)
     K = lin.pencil(args.z)[1]
     est = det_tail_experiment(U, lin.s_matrix(), U.blocks[args.j].conj().T @ K,

@@ -7,6 +7,14 @@ span of the others. That orthocomplement is spanned by the columns of a
 basis matrix U, partitioned into N square blocks U_i, and the projected
 column is the matrix random walk sum_i U_i^* L_i.
 
+The basis is read off (L^z)^{-1}: its rows for block column j annihilate
+every other column of L^z. That route is taken only when it is proven
+safe. The retained columns M = L^z S satisfy smin(M)/smax(M) >=
+1/(||L^z||_F ||(L^z)^{-1}||_F), and that bound must clear the null-space
+cutoff 1e-12 by a factor 1e3; the basis must also annihilate M to
+1e-10 ||L^z||_F. Any other draw takes a full SVD of M, which alone
+decides whether the draw is degenerate.
+
 Anti-concentration of det(walk) is governed by the determinant
 coefficients Delta built from the rows of the blocks, by the structured
 sets they define, and by the walk matrix Phi whose Gram matrix is the
@@ -45,6 +53,8 @@ __all__ = [
 
 ORTHO_TOL = 1e-10       # orthonormality of basis columns, checked on every draw
 NULLSPACE_RTOL = 1e-12  # relative cutoff for reading off the null space
+_CERT_MARGIN = 1e3      # factor by which the inverse's bound must clear NULLSPACE_RTOL
+_CERT_RESID = 1e-10     # ||M^* U|| / ||L^z||_F the inverse's basis must reach
 _TUPLE_CHUNK = 32_768   # Delta tuples per batched det call
 
 
@@ -121,9 +131,13 @@ def orthocomplement_basis(Lz, j, seed, r):
     """Orthonormal basis of the orthocomplement of all block columns but j,
     right-twisted by a Haar unitary drawn from (seed, j).
 
-    Raises DegenerateDrawError when the retained columns are rank
-    deficient (relative smin below 1e-12), since then the complement has
-    excess dimension and the draw is ill-posed.
+    The basis comes from the block-row j of (L^z)^{-1} when a bound
+    proves the retained columns well conditioned and the result is
+    checked to annihilate them; any other draw takes the exact route, a
+    full SVD of the retained columns. Raises DegenerateDrawError when
+    the retained columns are rank deficient (relative smin below 1e-12),
+    since then the complement has excess dimension and the draw is
+    ill-posed; no draw the bound certifies can be.
     """
     d = r + 1
     N = Lz.shape[0] // d
@@ -131,18 +145,52 @@ def orthocomplement_basis(Lz, j, seed, r):
         raise ValueError("Lz must be square with (r+1)N rows")
     if not 0 <= j < N:
         raise ValueError(f"block column index {j} outside [0, {N})")
-    keep = [k * N + jj for k in range(d) for jj in range(N) if jj != j]
     H = haar_unitary(d, stream(seed, STREAM_HAAR, j))
-    if not keep:
+    if N == 1:
         return WalkBasis(N=N, r=r, U=H)
+    null_basis = _certified_complement(Lz, [k * N + j for k in range(d)])
+    if null_basis is None:
+        null_basis = _svd_complement(Lz, j, N, d)
+    return WalkBasis(N=N, r=r, U=null_basis @ H)
+
+
+def _certified_complement(Lz, rows):
+    """Orthonormal complement from the `rows` of (L^z)^{-1}, or None when
+    no bound proves it.
+
+    (L^z)^{-1} L^z = I, so the conjugates of those rows annihilate every
+    other column of L^z; a reduced QR orthonormalizes them. The retained
+    columns are M = L^z S for a column selection S, so
+    smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F); that bound must
+    clear NULLSPACE_RTOL by _CERT_MARGIN, and the basis must annihilate
+    the retained columns to _CERT_RESID ||L^z||_F.
+    """
+    try:
+        inv = np.linalg.inv(Lz)
+    except np.linalg.LinAlgError:
+        return None
+    norm = np.linalg.norm(Lz)
+    kappa = norm * np.linalg.norm(inv)
+    if not np.isfinite(kappa) or kappa * NULLSPACE_RTOL * _CERT_MARGIN > 1.0:
+        return None
+    Q = np.linalg.qr(inv[rows].conj().T)[0]
+    resid = Q.conj().T @ Lz
+    resid[:, rows] = 0.0
+    if not np.linalg.norm(resid) <= _CERT_RESID * norm:
+        return None
+    return Q
+
+
+def _svd_complement(Lz, j, N, d):
+    """The exact route: trailing left singular vectors of the retained columns."""
+    keep = [k * N + jj for k in range(d) for jj in range(N) if jj != j]
     M = Lz[:, keep]
     Ufull, sv, _ = np.linalg.svd(M)
     if sv[-1] <= NULLSPACE_RTOL * sv[0]:
         raise DegenerateDrawError(
             f"retained columns rank deficient: smin/smax = {sv[-1] / sv[0]:.2e}"
         )
-    null_basis = Ufull[:, M.shape[1]:]
-    return WalkBasis(N=N, r=r, U=null_basis @ H)
+    return Ufull[:, M.shape[1]:]
 
 
 def test_projection(U, col):

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from brownlab import walks
 from brownlab.linearize import assemble_Lz, build_linearization
 from brownlab.ncpoly import parse
-from brownlab.pseudospec import TailEstimate
-from brownlab.rmtcore import STREAM_GINIBRE, STREAM_WALK, ginibre_tuple, stream
+from brownlab.pseudospec import TailEstimate, trial_tuple
+from brownlab.rmtcore import (
+    STREAM_GINIBRE,
+    STREAM_HAAR,
+    STREAM_WALK,
+    ginibre_tuple,
+    haar_unitary,
+    stream,
+)
 from brownlab.walks import (
     DegenerateDrawError,
     WalkBasis,
@@ -79,6 +86,119 @@ def test_orthocomplement_degenerate_draw_reported():
     L0 = assemble_Lz(lin, [Z, Z], 0.0)
     with pytest.raises(DegenerateDrawError):
         orthocomplement_basis(L0, 0, 1, lin.rank)
+
+
+# -------------------------------------------------- certified basis route
+
+def _svd_route(Lz, j, seed, r):
+    """The exact route written out: the trailing left singular vectors of
+    the retained columns, twisted by the draw's Haar unitary, and the
+    retained columns' smin/smax."""
+    d = r + 1
+    N = Lz.shape[0] // d
+    keep = [k * N + jj for k in range(d) for jj in range(N) if jj != j]
+    M = Lz[:, keep]
+    Ufull, sv, _ = np.linalg.svd(M)
+    return Ufull[:, M.shape[1]:] @ haar_unitary(d, stream(seed, STREAM_HAAR, j)), sv[-1] / sv[0]
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("the certified route took an SVD")
+
+
+@pytest.mark.parametrize("text, n", [("x1*x2+x2*x1", 2), ("x1*x2+x2*x1+x3", 3)])
+@pytest.mark.parametrize("N", [2, 12, 40])
+@pytest.mark.parametrize("last", [False, True], ids=["j=0", "j=N-1"])
+def test_certified_basis_spans_the_svd_complement(text, n, N, last, monkeypatch):
+    lin = build_linearization(parse(text, num_vars=n))
+    j = N - 1 if last else 0
+    for seed in (1, 2, 3):
+        Lz = assemble_Lz(lin, ginibre_tuple(n, N, stream(seed, STREAM_GINIBRE, 0)), 0.3 - 0.2j)
+        ref, _ = _svd_route(Lz, j, seed, lin.rank)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", _no_svd)
+            U = orthocomplement_basis(Lz, j, seed, lin.rank).U
+        assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["singular", "ill-conditioned", "residual"])
+def test_uncertified_draw_takes_the_exact_route_bit_for_bit(case, monkeypatch):
+    # L^z is singular (its block column j is zero) or nearly so, or the
+    # residual check is made to fail; the retained columns stay full rank,
+    # so the exact route returns its basis unchanged
+    rng = np.random.default_rng(70)
+    N, r, j, seed = 6, 2, 2, 4
+    d = r + 1
+    Lz = rng.normal(size=(d * N, d * N)) + 1j * rng.normal(size=(d * N, d * N))
+    cols = [k * N + j for k in range(d)]
+    if case == "singular":
+        Lz[:, cols] = 0.0
+    elif case == "ill-conditioned":
+        Lz[:, cols] *= 1e-14
+    else:
+        monkeypatch.setattr(walks, "_CERT_RESID", 0.0)
+    ref, ratio = _svd_route(Lz, j, seed, r)
+    assert ratio > 1e-3
+    assert np.array_equal(orthocomplement_basis(Lz, j, seed, r).U, ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_Lz_takes_the_exact_route(bad, monkeypatch):
+    # the inverse of a matrix with an infinite entry can be finite, but
+    # ||L^z||_F is not, so kappa is never finite and the SVD decides
+    # (with a NaN it raises LinAlgError)
+    rng = np.random.default_rng(72)
+    Lz = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
+    Lz[3, 4] = bad
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    try:
+        orthocomplement_basis(Lz, 0, 1, 2)
+    except np.linalg.LinAlgError:
+        assert np.isnan(bad)
+    assert shapes == [(15, 12)]
+
+
+@pytest.mark.parametrize("scale, degenerate", [(1e-14, True), (1e-9, False)])
+def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
+    # one retained column scaled down, so smin/smax of the retained
+    # columns falls on either side of 1e-12; L^z stays invertible, and the
+    # bound, which is below that ratio, refuses both, so the exact route
+    # decides
+    rng = np.random.default_rng(71)
+    N, r, j = 5, 2, 0
+    d = r + 1
+    Lz = rng.normal(size=(d * N, d * N)) + 1j * rng.normal(size=(d * N, d * N))
+    Lz[:, 1] *= scale
+    _, exact = _svd_route(Lz, j, 1, r)
+    assert (exact <= walks.NULLSPACE_RTOL) == degenerate
+    if degenerate:
+        with pytest.raises(DegenerateDrawError):
+            orthocomplement_basis(Lz, j, 1, r)
+    else:
+        orthocomplement_basis(Lz, j, 1, r)
+
+
+def test_orthocomplement_memory_stays_below_two_copies_of_Lz(monkeypatch):
+    # walks-scan's walks-delta draw (N = 120, z = 0.3, seed 1) takes the
+    # certified route, which holds L^z's inverse and (r+1)-column slabs;
+    # the exact route's M, U and V^H peak at 3 copies of L^z
+    lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
+    Lz = assemble_Lz(lin, trial_tuple(3, 120, 1, 0), 0.3)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    tracemalloc.start()
+    try:
+        orthocomplement_basis(Lz, 0, 1, lin.rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * Lz.nbytes
 
 
 def test_blocks_tile_the_basis():
@@ -355,18 +475,40 @@ def _per_tuple_delta_maxima(U, s):
     return best
 
 
+# six rows with entries 0 and +-1/2 whose three columns are orthonormal;
+# any four of them span C^3
+_HALF_ROWS = 0.5 * np.array([[1, 1, 0], [1, -1, 0], [1, 0, 1],
+                             [1, 0, -1], [0, 1, 1], [0, 1, -1]])
+
+
+def _dyadic_basis(seed, N=5, r=2):
+    """A basis whose entries are 0 and +-1/2, so every Delta is exact.
+
+    Four of _HALF_ROWS, with random signs, go to random rows of the v^0
+    slab and the other two to random rows of the later slabs. LU of a
+    matrix with such entries pivots on +-1/2 or +-1 and multiplies by 0,
+    +-1/2, +-1 or +-2, so each det is computed without rounding.
+    """
+    rng = np.random.default_rng(seed)
+    d = r + 1
+    U = np.zeros((d * N, d), dtype=complex)
+    rows = np.concatenate([rng.choice(N, 4, replace=False),
+                           N + rng.choice((d - 1) * N, 2, replace=False)])
+    U[rows] = _HALF_ROWS[rng.permutation(6)] * rng.choice([-1.0, 1.0], size=(6, 1))
+    return WalkBasis(N=N, r=r, U=U)
+
+
 @pytest.mark.parametrize("chunk", [walks._TUPLE_CHUNK, 7])
 @pytest.mark.parametrize("seed", [0, 1, 2, 5, 7])
 def test_delta_report_equals_per_tuple_loop(seed, chunk, monkeypatch):
     # for x1*x2+x2*x1+x3, w_3 = v^0, so every family-1 Delta is
-    # det[v0[i0], v0[i1], v0[i2]]: permutations of the maximizing tuple
-    # tie, on each of these seeds bit for bit. A chunk of 7 tails visits
+    # det[v0[i0], v0[i1], v0[i2]]: on a dyadic basis the permutations of
+    # the maximizing tuple tie bit for bit. A chunk of 7 tails visits
     # them out of scan order, so the witness must come from the scan
     # position, not from the order of discovery
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     s = lin.s_matrix()
-    X = ginibre_tuple(3, 5, stream(seed, STREAM_GINIBRE, 0))
-    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, seed + 100, lin.rank)
+    U = _dyadic_basis(seed)
     monkeypatch.setattr(walks, "_TUPLE_CHUNK", chunk)
     rep = delta_report(U, s, threshold=1e-9)
     ref = _per_tuple_delta_maxima(U, s)
@@ -545,8 +687,12 @@ def test_det_tail_unstructured_slope():
 
 def test_det_tail_scalar_shift_is_a_multiple_of_identity():
     lin, _, _, U = _anti_setup(9)
-    ladder = np.logspace(-3, -0.5, 6)
+    walk = walks._walk_draws(U, lin.s_matrix(), 400, seed=8).T.reshape(400, 3, 3)
     for c in (0.5, 0.2 - 0.3j):
+        # rungs at quantiles of the drawn |det|, so the top rung (the
+        # median) splits the trials whatever the basis
+        dets = np.abs(np.linalg.det(walk + c * np.eye(3)))
+        ladder = np.quantile(dets, np.linspace(0.05, 0.5, 6))
         scalar = det_tail_experiment(U, lin.s_matrix(), c, ladder, 400, seed=8)
         matrix = det_tail_experiment(U, lin.s_matrix(), c * np.eye(3), ladder, 400, seed=8)
         assert 0 < scalar.hits[-1] < 400
