@@ -11,9 +11,11 @@ Replay does not compare the BLAS record; it is there to explain a
 mismatch on a host with another BLAS or thread count.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
-polynomial, unsatisfiable grid), 2 numerical backend failure. Failure
-rule: a trial whose P = p(X) is non-finite, or whose LAPACK call fails,
-raises numpy's LinAlgError; that, a degenerate walk draw and a singular
+polynomial, unsatisfiable grid), 2 numerical backend failure. The
+parsers refuse non-finite numbers ('nan', 'inf') and a non-positive
+`--threads` or `area --eps`, so those exit 1. Failure rule: a trial whose
+P = p(X) or L^z is non-finite, or whose LAPACK call fails, raises numpy's
+LinAlgError; that, a degenerate walk draw and a singular
 linearization factor all exit 2, before any output file is written.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
@@ -81,8 +83,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text):
-    """Parse 'a+bi' style complex input; 'a' and 'bi' alone also work."""
+    """Parse 'a+bi' style complex input; 'a' and 'bi' alone also work.
+
+    Both parts must be finite: 'nan', 'inf' and literals that overflow a
+    float, such as '1e400', are refused.
+    """
     t = text.strip().replace(" ", "")
+    value = None
     if t.endswith("i"):
         body = t[:-1]
         m = re.fullmatch(
@@ -91,15 +98,35 @@ def parse_complex(text):
             body,
         )
         if m:
-            return complex(float(m.group("re")), float(m.group("im")))
-        m = re.fullmatch(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", body)
-        if m:
-            return complex(0.0, float(body))
+            value = complex(float(m.group("re")), float(m.group("im")))
+        elif re.fullmatch(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", body):
+            value = complex(0.0, float(body))
+    else:
+        try:
+            value = complex(float(t), 0.0)
+        except ValueError:
+            pass
+    if value is None:
         raise CliError(f"cannot parse complex number {text!r}")
-    try:
-        return complex(float(t), 0.0)
-    except ValueError:
-        raise CliError(f"cannot parse complex number {text!r}") from None
+    if not np.isfinite(value):
+        raise CliError(f"complex number {text!r} is not finite")
+    return value
+
+
+def parse_positive_float(text):
+    """A finite float above 0; 'nan', 'inf' and 0 are refused."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise CliError(f"{text!r} is not a finite positive number")
+    return value
+
+
+def parse_positive_int(text):
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise CliError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _increasing(vals):
@@ -341,7 +368,7 @@ _EPS = _arg("--eps", type=parse_ladder, required=True,
 _J = _arg("--j", type=int, default=0, help="block column index")
 _RUN = (
     _arg("--seed", type=int, default=0),
-    _arg("--threads", type=int, default=None,
+    _arg("--threads", type=parse_positive_int, default=None,
          help="worker threads (default $BROWNLAB_THREADS or 1)"),
     _arg("-o", "--out", default="brownlab-out", help="output directory"),
 )
@@ -359,7 +386,8 @@ COMMANDS = {cmd.name: cmd for cmd in (
     Command("tail", "small-ball tail of smin(P - z)",
             (*_POLY, _Z, _EPS, _trials(1000), *_RUN), _tail),
     Command("area", "expected pseudospectrum area in a rectangle",
-            (*_POLY, _GRID, _trials(1), *_RUN, _arg("--eps", type=float, required=True)),
+            (*_POLY, _GRID, _trials(1), *_RUN,
+             _arg("--eps", type=parse_positive_float, required=True)),
             _area),
     Command("brown", "log-potential and Brown density estimate",
             (*_POLY, _GRID, _trials(1), *_RUN,

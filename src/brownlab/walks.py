@@ -8,12 +8,15 @@ basis matrix U, partitioned into N square blocks U_i, and the projected
 column is the matrix random walk sum_i U_i^* L_i.
 
 The basis is read off (L^z)^{-1}: its rows for block column j annihilate
-every other column of L^z. That route is taken only when it is proven
-safe. The retained columns M = L^z S satisfy smin(M)/smax(M) >=
-1/(||L^z||_F ||(L^z)^{-1}||_F), and that bound must clear the null-space
-cutoff 1e-12 by a factor 1e3; the basis must also annihilate M to
-1e-10 ||L^z||_F. Any other draw takes a full SVD of M, which alone
-decides whether the draw is degenerate.
+every other column of L^z. The inverse is computed in one LU workspace,
+a copy of L^z that LAPACK's zgetrf and zgetri overwrite with the LU
+factors and then with the inverse (`_openblas.inv`). That route is taken
+only when it is proven safe. The retained columns M = L^z S satisfy
+smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F), and that bound must
+clear the null-space cutoff 1e-12 by a factor 1e3; the basis must also
+annihilate M to 1e-10 ||L^z||_F. Any other draw takes a full SVD of M,
+which alone decides whether the draw is degenerate. An L^z with a
+non-finite entry is refused with LinAlgError before either route runs.
 
 Anti-concentration of det(walk) is governed by the determinant
 coefficients Delta built from the rows of the blocks, by the structured
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .pseudospec import TailEstimate
 from .rmtcore import STREAM_HAAR, STREAM_WALK, haar_unitary, stream
 
@@ -79,7 +83,8 @@ class WalkBasis:
         if self.U.shape != (d * self.N, d):
             raise ValueError("U must be (r+1)N x (r+1)")
         gram = self.U.conj().T @ self.U
-        if np.abs(gram - np.eye(d)).max() > ORTHO_TOL:
+        # negated so that a NaN residual (a non-finite U) is refused too
+        if not np.abs(gram - np.eye(d)).max() <= ORTHO_TOL:
             raise ValueError("columns of U are not orthonormal to 1e-10")
 
     @property
@@ -137,7 +142,9 @@ def orthocomplement_basis(Lz, j, seed, r):
     full SVD of the retained columns. Raises DegenerateDrawError when
     the retained columns are rank deficient (relative smin below 1e-12),
     since then the complement has excess dimension and the draw is
-    ill-posed; no draw the bound certifies can be.
+    ill-posed; no draw the bound certifies can be. An L^z with a
+    non-finite entry raises LinAlgError before anything is decomposed,
+    as a non-finite trial matrix does.
     """
     d = r + 1
     N = Lz.shape[0] // d
@@ -145,6 +152,8 @@ def orthocomplement_basis(Lz, j, seed, r):
         raise ValueError("Lz must be square with (r+1)N rows")
     if not 0 <= j < N:
         raise ValueError(f"block column index {j} outside [0, {N})")
+    if not np.isfinite(Lz).all():
+        raise np.linalg.LinAlgError("L^z has non-finite entries")
     H = haar_unitary(d, stream(seed, STREAM_HAAR, j))
     if N == 1:
         return WalkBasis(N=N, r=r, U=H)
@@ -158,15 +167,17 @@ def _certified_complement(Lz, rows):
     """Orthonormal complement from the `rows` of (L^z)^{-1}, or None when
     no bound proves it.
 
-    (L^z)^{-1} L^z = I, so the conjugates of those rows annihilate every
-    other column of L^z; a reduced QR orthonormalizes them. The retained
-    columns are M = L^z S for a column selection S, so
-    smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F); that bound must
-    clear NULLSPACE_RTOL by _CERT_MARGIN, and the basis must annihilate
-    the retained columns to _CERT_RESID ||L^z||_F.
+    The inverse is `_openblas.inv`'s: one LU workspace, a copy of L^z that
+    becomes the inverse in place, so the route holds L^z, that copy and an
+    n x nb LAPACK workspace. (L^z)^{-1} L^z = I, so the conjugates of
+    those rows annihilate every other column of L^z; a reduced QR
+    orthonormalizes them. The retained columns are M = L^z S for a column
+    selection S, so smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F);
+    that bound must clear NULLSPACE_RTOL by _CERT_MARGIN, and the basis
+    must annihilate the retained columns to _CERT_RESID ||L^z||_F.
     """
     try:
-        inv = np.linalg.inv(Lz)
+        inv = _openblas.inv(Lz)
     except np.linalg.LinAlgError:
         return None
     norm = np.linalg.norm(Lz)

@@ -51,6 +51,13 @@ def test_parse_complex_forms():
         parse_complex("nope")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "infinity", "1e400", "1e400i",
+                                  "1+1e400i"])
+def test_parse_complex_refuses_non_finite_parts(text):
+    with pytest.raises(ValueError, match="not finite"):
+        parse_complex(text)
+
+
 def test_parse_ladder_forms():
     lad = parse_ladder("1e-6:1e-1:log10")
     assert len(lad) == 10
@@ -140,6 +147,37 @@ def test_nonpositive_eta_ladder_exits_one(tmp_path, capsys):
          "-o", str(tmp_path)]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("argv", [
+    ["tail", "--poly", "x1*x2+x2*x1", "--N", "6", "--eps", "1e-3,1e-2", "--trials", "100"],
+    ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6"],
+], ids=lambda argv: argv[0])
+def test_non_finite_shift_exits_one_and_writes_nothing(argv, z, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--z", z, "-o", str(out)]) == 1
+    assert "--z" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.5"])
+def test_area_eps_must_be_finite_and_positive(eps, tmp_path, capsys):
+    code = dispatch(["area", "--poly", "x1*x2", "--N", "6", "--eps", eps,
+                     "--grid", "-1,1,-1,1,3,3", "-o", str(tmp_path)])
+    assert code == 1
+    assert "--eps" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+    assert not (tmp_path / "area.json").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_must_be_a_positive_integer(threads, tmp_path, capsys):
+    code = dispatch(["tail", "--poly", "x1*x2", "--N", "6", "--eps", "1e-3,1e-2",
+                     "--trials", "100", "--threads", threads, "-o", str(tmp_path)])
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,15 @@
-"""The singular-value kernel: numpy's bytes from LAPACK's zgesdd, without the GIL."""
+"""The LAPACK kernels: numpy's SVD bytes from zgesdd, and an LU inverse from
+zgetrf + zgetri, both without the GIL."""
 
 import ctypes
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brownlab import _openblas
-from brownlab._openblas import svdvals
+from brownlab._openblas import inv, svdvals
 from brownlab._pool import _BLAS
 from brownlab.rmtcore import shifted_svals
 
@@ -40,6 +41,7 @@ def test_kernel_is_found_with_numpys_openblas():
     if "openblas" not in blas:
         pytest.skip(f"numpy is built against {blas}")
     assert _openblas._zgesdd() is not None
+    assert _openblas._zgetrf_zgetri() is not None
 
 
 def test_kernel_releases_the_gil():
@@ -72,3 +74,50 @@ def test_fallback_returns_the_same_bytes(monkeypatch):
     kernel = svdvals(A)
     monkeypatch.setattr(_openblas, "_zgesdd", lambda: None)
     assert np.array_equal(svdvals(A), kernel)
+
+
+# ------------------------------------------------------------ inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_inverse_agrees_with_numpys(N, seed, real):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((N, N))
+    if not real:
+        A = A + 1j * rng.standard_normal((N, N))
+    # both inverses are backward stable, so they agree to about cond(A) eps
+    assume(np.linalg.cond(A) < 1e3)
+    got, want = inv(A), np.linalg.inv(A)
+    assert got.dtype == np.complex128
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_inverse_of_a_singular_matrix_raises():
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    A[:, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        inv(A)
+
+
+def test_inverse_leaves_its_input_alone():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    before = A.copy()
+    assert np.abs(inv(A) @ A - np.eye(9)).max() <= 1e-12
+    assert np.array_equal(A, before)
+
+
+def test_inverse_falls_back_to_numpy(monkeypatch):
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    monkeypatch.setattr(_openblas, "_zgetrf_zgetri", lambda: None)
+    assert np.array_equal(inv(A), np.linalg.inv(A))
+
+
+def test_inverse_kernels_release_the_gil():
+    kernels = _openblas._zgetrf_zgetri()
+    if kernels is None:
+        pytest.skip("no OpenBLAS found in numpy.libs")
+    assert not any(k._flags_ & ctypes._FUNCFLAG_PYTHONAPI for k in kernels)

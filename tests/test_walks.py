@@ -142,27 +142,34 @@ def test_uncertified_draw_takes_the_exact_route_bit_for_bit(case, monkeypatch):
     assert np.array_equal(orthocomplement_basis(Lz, j, seed, r).U, ref)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_Lz_takes_the_exact_route(bad, monkeypatch):
-    # the inverse of a matrix with an infinite entry can be finite, but
-    # ||L^z||_F is not, so kappa is never finite and the SVD decides
-    # (with a NaN it raises LinAlgError)
+def _no_inverse(*args, **kwargs):
+    raise AssertionError("L^z was inverted")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize("N", [1, 5])
+def test_non_finite_Lz_raises_before_any_decomposition(bad, N, monkeypatch):
+    # trial_matrix's rule: a non-finite matrix is a backend failure
+    # (LinAlgError, exit 2), not a draw; neither route may run on it
     rng = np.random.default_rng(72)
-    Lz = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-    Lz[3, 4] = bad
-    shapes = []
-    svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    try:
+    Lz = rng.normal(size=(3 * N, 3 * N)) + 1j * rng.normal(size=(3 * N, 3 * N))
+    Lz[3 * N - 1, 0] = bad
+    monkeypatch.setattr(walks._openblas, "inv", _no_inverse)
+    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         orthocomplement_basis(Lz, 0, 1, 2)
-    except np.linalg.LinAlgError:
-        assert np.isnan(bad)
-    assert shapes == [(15, 12)]
+
+
+def test_certified_route_needs_no_numpy_inverse_or_svd(monkeypatch):
+    lin = build_linearization(ANTI)
+    Lz = assemble_Lz(lin, ginibre_tuple(2, 12, stream(3, STREAM_GINIBRE, 0)), 0.3)
+    ref, _ = _svd_route(Lz, 4, 3, lin.rank)
+    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    U = orthocomplement_basis(Lz, 4, 3, lin.rank).U
+    assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
 @pytest.mark.parametrize("scale, degenerate", [(1e-14, True), (1e-9, False)])
@@ -187,8 +194,12 @@ def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
 
 def test_orthocomplement_memory_stays_below_two_copies_of_Lz(monkeypatch):
     # walks-scan's walks-delta draw (N = 120, z = 0.3, seed 1) takes the
-    # certified route, which holds L^z's inverse and (r+1)-column slabs;
-    # the exact route's M, U and V^H peak at 3 copies of L^z
+    # certified route, which holds one LU workspace (a copy of L^z that
+    # becomes its inverse), LAPACK's n x nb workspace and (r+1)-column
+    # slabs: 1.19 copies of L^z. Every one of those buffers is a numpy
+    # array, so tracemalloc sees them all; with np.linalg.inv it read 1.03,
+    # because it never saw inv's malloc'd copy, identity and solution.
+    # The exact route's M, U and V^H peak at 3 copies of L^z
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     Lz = assemble_Lz(lin, trial_tuple(3, 120, 1, 0), 0.3)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
@@ -199,6 +210,13 @@ def test_orthocomplement_memory_stays_below_two_copies_of_Lz(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * Lz.nbytes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_walkbasis_rejects_a_non_finite_basis(bad):
+    with pytest.raises(ValueError, match="orthonormal"):
+        WalkBasis(N=1, r=2, U=np.full((3, 3), bad, dtype=complex))
 
 
 def test_blocks_tile_the_basis():
