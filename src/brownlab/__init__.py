@@ -57,11 +57,8 @@ from .walks import (
     DeltaReport,
     DegenerateDrawError,
     orthocomplement_basis,
-    block_column,
-    test_projection,
     delta_report,
     walk_matrix,
-    select_rows,
     det_tail_experiment,
 )
 

@@ -126,9 +126,6 @@ class BrownEstimate:
     total_mass: float
     meta: dict = field(default_factory=dict)
 
-    def interior_nodes(self):
-        return self.grid.nodes()[1:-1, 1:-1]
-
     def density_field(self):
         """The density on the grid of the interior nodes."""
         g = self.grid

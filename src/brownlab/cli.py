@@ -12,11 +12,14 @@ mismatch on a host with another BLAS or thread count.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid), 2 numerical backend failure. The
-parsers refuse non-finite numbers ('nan', 'inf') and a non-positive
-`--threads` or `area --eps`, so those exit 1. Failure rule: a trial whose
-P = p(X) or L^z is non-finite, or whose LAPACK call fails, raises numpy's
-LinAlgError; that, a degenerate walk draw and a singular
-linearization factor all exit 2, before any output file is written.
+parsers refuse non-finite numbers ('nan', 'inf'), a non-positive `--N`
+or `--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
+`brown --floor` or `walks-delta --threshold`, so those exit 1 before any
+work is done. Failure rule: a trial whose P = p(X) or L^z is non-finite,
+or whose LAPACK call fails, raises numpy's LinAlgError; that, a
+degenerate walk draw, a singular linearization factor and a MemoryError
+(an array too large to allocate) all exit 2, before any output file is
+written.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
 help text, the argparse additions and a run(args, p, out) body. Given the
@@ -62,7 +65,8 @@ from .walks import DegenerateDrawError, delta_report, det_tail_experiment, ortho
 __all__ = ["main", "dispatch"]
 
 # Caught before ValueError, which np.linalg.LinAlgError subclasses.
-_BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, np.linalg.LinAlgError)
+_BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, np.linalg.LinAlgError,
+                   MemoryError)
 
 
 class CliError(ValueError):
@@ -130,8 +134,8 @@ def parse_positive_int(text):
 
 
 def _increasing(vals):
-    if not (np.all(vals > 0) and np.all(np.diff(vals) > 0)):
-        raise CliError("ladder values must be positive and strictly increasing")
+    if not (np.all(np.isfinite(vals)) and np.all(vals > 0) and np.all(np.diff(vals) > 0)):
+        raise CliError("ladder values must be finite, positive and strictly increasing")
     return vals
 
 
@@ -311,10 +315,8 @@ def _walk_basis(args, p):
 
 
 def _walks_delta(args, p, out):
-    threshold = args.threshold
-    if threshold is not None and threshold <= 0:
-        raise CliError("threshold must be positive")  # before the basis is drawn
     lin, U = _walk_basis(args, p)
+    threshold = args.threshold
     if threshold is None:
         threshold = float(args.N) ** (-lin.rank / 2 - 10)
     rep = delta_report(U, lin.s_matrix(), threshold)
@@ -359,7 +361,7 @@ def _trials(default):
 _POLY = (
     _arg("--poly", required=True, help="polynomial, e.g. 'x1*x2+x2*x1'"),
     _arg("--n", type=int, default=None, help="declared number of variables"),
-    _arg("--N", type=int, required=True, help="matrix size"),
+    _arg("--N", type=parse_positive_int, required=True, help="matrix size"),
 )
 _Z = _arg("--z", type=parse_complex, default=0j, help="shift, as a+bi")
 _GRID = _arg("--grid", type=parse_grid, required=True, help="re_min,re_max,im_min,im_max,nx,ny")
@@ -380,7 +382,8 @@ COMMANDS = {cmd.name: cmd for cmd in (
     Command("spectrum", "eigenvalue samples of p(X)",
             (*_POLY, _trials(1), *_RUN), _spectrum),
     Command("linearize-check", "Schur resolvent identity residual",
-            (*_POLY, _Z, *_RUN, _arg("--tol", type=float, default=1e-8)), _linearize_check),
+            (*_POLY, _Z, *_RUN, _arg("--tol", type=parse_positive_float, default=1e-8)),
+            _linearize_check),
     Command("smin-map", "grid map of smin(P - z)",
             (*_POLY, _GRID, _trials(1), *_RUN), _smin_map),
     Command("tail", "small-ball tail of smin(P - z)",
@@ -391,7 +394,7 @@ COMMANDS = {cmd.name: cmd for cmd in (
             _area),
     Command("brown", "log-potential and Brown density estimate",
             (*_POLY, _GRID, _trials(1), *_RUN,
-             _arg("--floor", type=float, default=None,
+             _arg("--floor", type=parse_positive_float, default=None,
                   help="singular value floor (default N^-6)")),
             _brown),
     Command("stieltjes", "Stieltjes transform of the hermitization",
@@ -401,7 +404,7 @@ COMMANDS = {cmd.name: cmd for cmd in (
             _stieltjes),
     Command("walks-delta", "Delta determinant report for a drawn basis",
             (*_POLY, _Z, *_RUN, _J,
-             _arg("--threshold", type=float, default=None,
+             _arg("--threshold", type=parse_positive_float, default=None,
                   help="structured threshold (default N^(-r/2-10))")),
             _walks_delta),
     Command("walks-dettail", "determinant small-ball experiment",

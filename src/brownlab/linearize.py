@@ -100,25 +100,9 @@ class Linearization:
             }
         )
 
-    @staticmethod
-    def from_json(text, source):
-        """Read back `to_json`; the JSON does not store the source polynomial."""
-        data = json.loads(text)
-        s = tuple(_uncvec(v) for v in data["s"])
-        n = len(s[0])
-        rot = _uncvec(data["rotation"]).reshape(n, n)
-        gamma = complex(data["gamma"][0], data["gamma"][1])
-        return Linearization(
-            rank=int(data["rank"]), s=s, rotation=rot, gamma=gamma, source=source
-        )
-
 
 def _cvec(v):
     return [[z.real, z.imag] for z in np.asarray(v).ravel()]
-
-
-def _uncvec(pairs):
-    return np.array([complex(a, b) for a, b in pairs])
 
 
 def build_linearization(p, rank_tol=1e-10):

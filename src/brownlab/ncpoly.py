@@ -280,15 +280,6 @@ class QuadraticData:
     gamma: complex
     rank: int
 
-    def to_poly(self):
-        n = len(self.b)
-        terms = {(): self.gamma}
-        for l in range(n):
-            terms[(l + 1,)] = self.b[l]
-            for m in range(n):
-                terms[(l + 1, m + 1)] = self.A[l, m]
-        return NcPoly(n, terms)
-
 
 # Rank cutoff relative to the top singular value. Coefficients are
 # user-supplied exact-ish constants, so the cut sits far below any

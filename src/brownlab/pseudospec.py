@@ -64,6 +64,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid rectangle must have positive area")
+        if not np.isfinite([self.re_max - self.re_min, self.im_max - self.im_min]).all():
+            raise ValueError("grid rectangle must have finite sides")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("nx and ny must be positive")
 

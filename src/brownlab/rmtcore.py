@@ -84,11 +84,6 @@ class SpectrumSample:
     def to_csv(self, path_or_file):
         write_csv(path_or_file, {"re": self.eigenvalues.real, "im": self.eigenvalues.imag})
 
-    @staticmethod
-    def from_csv(path_or_file):
-        data = np.loadtxt(path_or_file, delimiter=",", skiprows=1, ndmin=2)
-        return SpectrumSample(eigenvalues=data[:, 0] + 1j * data[:, 1])
-
 
 def write_csv(path_or_file, columns):
     """CSV with a header row, then one row of '.17g' reals per index.

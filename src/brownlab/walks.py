@@ -47,11 +47,8 @@ __all__ = [
     "DeltaReport",
     "DegenerateDrawError",
     "orthocomplement_basis",
-    "block_column",
-    "test_projection",
     "delta_report",
     "walk_matrix",
-    "select_rows",
     "det_tail_experiment",
 ]
 
@@ -120,16 +117,6 @@ class WalkBasis:
         flat = raw[0::2] + 1j * raw[1::2]
         U = flat.reshape(((r + 1) * N, r + 1), order="F")
         return WalkBasis(N=N, r=r, U=U)
-
-
-def block_column(Lz, j, r):
-    """The j-th block column of L^z as an (r+1)N x (r+1) matrix."""
-    d = r + 1
-    if Lz.shape[0] % d:
-        raise ValueError("matrix size is not a multiple of r+1")
-    N = Lz.shape[0] // d
-    cols = [k * N + j for k in range(d)]
-    return Lz[:, cols]
 
 
 def orthocomplement_basis(Lz, j, seed, r):
@@ -202,17 +189,6 @@ def _svd_complement(Lz, j, N, d):
             f"retained columns rank deficient: smin/smax = {sv[-1] / sv[0]:.2e}"
         )
     return Ufull[:, M.shape[1]:]
-
-
-def test_projection(U, col):
-    """Project a block column onto the basis: sum_i U_i^* (column block i)."""
-    if col.shape[0] != U.U.shape[0]:
-        raise ValueError("column height does not match the basis")
-    return U.U.conj().T @ col
-
-
-# keep pytest from collecting the imported name as a test case
-test_projection.__test__ = False
 
 
 @dataclass(frozen=True)
@@ -346,47 +322,6 @@ def walk_matrix(U, s_vectors):
     for l in range(1, r + 1):
         phi[(l - 1) * N:l * N, l * d:(l + 1) * d] = slabs[0]
     return phi
-
-
-def wedge_norm(rows):
-    """Norm of the wedge product of vectors, via the Gram determinant."""
-    M = np.atleast_2d(rows)
-    g = np.linalg.det(M @ M.conj().T).real
-    return float(np.sqrt(max(g, 0.0)))
-
-
-def select_rows(U0, alpha):
-    """Greedy well-conditioned row selection from an N x (r+1) slab.
-
-    The first pick maximizes the row norm, each later pick maximizes the
-    distance to the span of the chosen rows; the wedge-norm guarantee
-    (alpha/sqrt(N))^(k+1) is asserted on output for every prefix.
-    """
-    U0 = np.asarray(U0)
-    N, d = U0.shape
-    smin = np.linalg.svd(U0, compute_uv=False)[-1]
-    if smin < alpha:
-        raise ValueError(f"smin(U0)={smin:.3e} below alpha={alpha:.3e}")
-    chosen = []
-    basis = np.zeros((0, d), dtype=complex)
-    for _ in range(d):
-        coeff = U0 @ basis.conj().T if len(basis) else np.zeros((N, 0))
-        dist2 = np.sum(np.abs(U0) ** 2, axis=1) - np.sum(np.abs(coeff) ** 2, axis=1)
-        dist2[chosen] = -np.inf
-        i = int(np.argmax(dist2))
-        chosen.append(i)
-        resid = U0[i] - coeff[i] @ basis if len(basis) else U0[i]
-        norm = np.linalg.norm(resid)
-        if norm > 0:
-            basis = np.vstack([basis, resid / norm])
-    for k in range(d):
-        bound = (alpha / np.sqrt(N)) ** (k + 1)
-        got = wedge_norm(U0[chosen[: k + 1]])
-        if got < bound * (1 - 1e-9):
-            raise AssertionError(
-                f"wedge bound failed at k={k}: {got:.3e} < {bound:.3e}"
-            )
-    return chosen
 
 
 def _walk_draws(U, s_vectors, trials, seed):

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from brownlab.cli import dispatch, parse_complex, parse_grid, parse_ladder
+from brownlab.cli import (
+    COMMANDS,
+    dispatch,
+    parse_complex,
+    parse_grid,
+    parse_ladder,
+    parse_positive_float,
+    parse_positive_int,
+)
 from brownlab.pseudospec import GridSpec
 
 
@@ -71,6 +79,10 @@ def test_parse_ladder_forms():
     # the rungs collapse in floating point: rejected before any sampling
     with pytest.raises(ValueError):
         parse_ladder("1:1.000000000000001:log10:50")
+    # an infinite rung is no rung: every sample falls below it
+    for text in ("1e-3,inf", "1e-3,1e400", "1e-3:inf:log10"):
+        with pytest.raises(ValueError):
+            parse_ladder(text)
 
 
 def test_parse_grid_validation():
@@ -80,6 +92,10 @@ def test_parse_grid_validation():
         parse_grid("-2,2,-2,2,5")
     with pytest.raises(ValueError):
         parse_grid("2,-2,-2,2,5,5")
+    # an infinite side leaves no finite node spacing
+    for text in ("-1,inf,-1,1,5,5", "-1e308,1e308,-1,1,5,5"):
+        with pytest.raises(ValueError):
+            parse_grid(text)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -195,6 +211,22 @@ def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert "numerical backend failure" in capsys.readouterr().err
 
 
+def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
+    # an allocation numpy cannot make (spectrum --N 100000000) is a backend
+    # failure; it is injected here, never provoked
+    import brownlab.cli as cli
+
+    def boom(*a, **k):
+        raise MemoryError("Unable to allocate 149 PiB for an array")
+
+    monkeypatch.setattr(cli, "esd", boom)
+    code = dispatch(["spectrum", "--poly", "x1*x2", "--N", "6", "-o", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerical backend failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 _LINALG_CASES = [
     # the sigma(P - z) commands reach LAPACK through rmtcore's kernel
     ("svdvals", ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
@@ -242,6 +274,59 @@ def test_non_finite_p_exits_two_and_writes_nothing(argv, tmp_path, capsys):
     assert dispatch(argv + ["-o", str(tmp_path)]) == 2
     assert "numerical backend failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# One small valid command line per command; the contract test below varies
+# each numeric flag of the command table on top of it.
+_CONTRACT_BASE = {
+    "spectrum": ["--poly", "x1*x2+x2*x1", "--N", "5"],
+    "linearize-check": ["--poly", "x1*x2+x2*x1", "--N", "5"],
+    "smin-map": ["--poly", "x1*x2+x2*x1", "--N", "5", "--grid", "-1,1,-1,1,3,3"],
+    "tail": ["--poly", "x1*x2+x2*x1", "--N", "5", "--eps", "1e-3,1e-1", "--trials", "100"],
+    "area": ["--poly", "x1*x2+x2*x1", "--N", "5", "--grid", "-1,1,-1,1,3,3",
+             "--eps", "0.1"],
+    "brown": ["--poly", "x1*x2+x2*x1", "--N", "5", "--grid", "-1,1,-1,1,5,5"],
+    "stieltjes": ["--poly", "x1*x2+x2*x1", "--N", "5", "--eta", "0.1,1"],
+    "walks-delta": ["--poly", "x1*x2+x2*x1", "--N", "5"],
+    "walks-dettail": ["--poly", "x1*x2+x2*x1", "--N", "5", "--eps", "1e-3,1e-1",
+                      "--trials", "100"],
+    "free-moment": ["--word", "c1 c1*"],
+}
+_NUMERIC_TYPES = {int, parse_positive_int, parse_positive_float, parse_complex, parse_ladder}
+_NOT_POSITIVE = ["0", "-1", "nan", "inf"]
+
+
+def _numeric_flags(cmd):
+    for flags, kwargs in cmd.arguments:
+        if kwargs.get("type") in _NUMERIC_TYPES:
+            yield next(f for f in flags if f.startswith("--"))
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_numeric_flag_keeps_the_exit_contract(name, tmp_path, capsys):
+    # each numeric flag at 0, -1, nan and inf, with N at most 5: the exit code
+    # is 0, 1 or 2, a failed run leaves no file, and a run that succeeds
+    # replays; an exception escaping dispatch, a traceback at the command
+    # line, fails the test
+    base = _CONTRACT_BASE[name]
+    for flag in _numeric_flags(COMMANDS[name]):
+        for value in _NOT_POSITIVE:
+            argv = [name, *base]
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            out = tmp_path / f"{flag}={value}"
+            code = dispatch(argv + ["-o", str(out)])
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
+            if code != 0:
+                assert not out.exists() or list(out.iterdir()) == [], argv
+                continue
+            code = dispatch(["replay", str(out / "manifest.json"),
+                             "-o", str(tmp_path / f"replay{flag}={value}")])
+            assert code == 0, argv
+            assert "MISMATCH" not in capsys.readouterr().out, argv
 
 
 def test_threads_default_comes_from_environment(monkeypatch):
@@ -391,10 +476,10 @@ def test_walks_delta_command(tmp_path, capsys):
     assert (tmp_path / "walkbasis.bin").exists()
 
 
-@pytest.mark.parametrize("threshold", ["0", "-1"])
+@pytest.mark.parametrize("threshold", _NOT_POSITIVE)
 def test_walks_delta_rejects_nonpositive_threshold(threshold, tmp_path, capsys, monkeypatch):
     # an explicit 0 is a threshold, not a request for the N^(-r/2-10) default;
-    # it is rejected before the basis (and its full SVD) is drawn
+    # the parser rejects it, nan and inf before the basis is drawn
     import brownlab.cli as cli
 
     def drawn(*a, **k):
@@ -404,9 +489,28 @@ def test_walks_delta_rejects_nonpositive_threshold(threshold, tmp_path, capsys, 
     code = dispatch(["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0",
                      "--threshold", threshold, "-o", str(tmp_path)])
     assert code == 1
-    assert "threshold must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "delta.json").exists()
-    assert not (tmp_path / "manifest.json").exists()
+    assert "--threshold" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", _NOT_POSITIVE)
+@pytest.mark.parametrize("flag, argv, first_step", [
+    ("--tol", ["linearize-check", "--poly", "x1*x2+x2*x1", "--N", "6"],
+     "build_linearization"),
+    ("--floor", ["brown", "--poly", "x1*x2", "--N", "6", "--grid", "-1,1,-1,1,5,5"],
+     "log_potential"),
+], ids=["tol", "floor"])
+def test_tol_and_floor_are_checked_before_any_work(flag, argv, first_step, value, tmp_path,
+                                                   capsys, monkeypatch):
+    import brownlab.cli as cli
+
+    def started(*a, **k):
+        raise AssertionError(f"{first_step} ran before {flag} was checked")
+
+    monkeypatch.setattr(cli, first_step, started)
+    assert dispatch(argv + [flag, value, "-o", str(tmp_path)]) == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_walks_dettail_command(tmp_path, capsys):

@@ -149,10 +149,11 @@ def test_quadratic_round_trip():
                 terms[(l, m)] = complex(*rng.normal(size=2))
         p = NcPoly(n, terms)
         qd = quadratic_data(p)
-        qd2 = quadratic_data(qd.to_poly())
-        assert np.array_equal(qd.A, qd2.A)
-        assert np.array_equal(qd.b, qd2.b)
-        assert qd.gamma == qd2.gamma
+        assert qd.gamma == terms[()]
+        for l in range(1, n + 1):
+            assert qd.b[l - 1] == terms[(l,)]
+            for m in range(1, n + 1):
+                assert qd.A[l - 1, m - 1] == terms[(l, m)]
 
 
 # ---------------------------------------------------------------- evaluate

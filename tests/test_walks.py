@@ -23,14 +23,10 @@ from brownlab.rmtcore import (
 from brownlab.walks import (
     DegenerateDrawError,
     WalkBasis,
-    block_column,
     delta_report,
     det_tail_experiment,
     orthocomplement_basis,
-    select_rows,
-    test_projection,
     walk_matrix,
-    wedge_norm,
 )
 
 ANTI = parse("x1*x2 + x2*x1")
@@ -256,12 +252,13 @@ def test_projection_single_block_identity():
     rng = np.random.default_rng(0)
     col = rng.normal(size=((r + 1) * N, r + 1)) + 1j * rng.normal(size=((r + 1) * N, r + 1))
     M = np.stack([col[k * N + i0] for k in range(r + 1)])
-    assert np.allclose(test_projection(U, col), M)
+    assert np.allclose(U.U.conj().T @ col, M)
 
 
 def test_projection_determinant_bound():
-    lin, X, Lz, U = _anti_setup(14)
-    hL = test_projection(U, block_column(Lz, 0, lin.rank))
+    N = 14
+    lin, X, Lz, U = _anti_setup(N)
+    hL = U.U.conj().T @ Lz[:, [k * N for k in range(lin.rank + 1)]]
     sv = np.linalg.svd(hL, compute_uv=False)
     assert abs(np.linalg.det(hL)) <= sv[-1] * sv[0] ** lin.rank * (1 + 1e-9)
 
@@ -281,7 +278,7 @@ def test_projection_is_shift_plus_walk(text, j):
     Ui = U.blocks
     walk = sum(X[l][i, j] * Ui[i].conj().T @ A[l]
                for l in range(p.num_vars) for i in range(N))
-    hL = test_projection(U, block_column(Lz, j, lin.rank))
+    hL = U.U.conj().T @ Lz[:, [k * N + j for k in range(lin.rank + 1)]]
     assert np.abs(hL - (Ui[j].conj().T @ K + walk)).max() <= 1e-12
 
 
@@ -297,7 +294,7 @@ def test_projection_scan_bounds_smin_of_Lz():
         smins = []
         for j in range(N):
             U = orthocomplement_basis(Lz, j, 100 + seed, lin.rank)
-            hL = test_projection(U, block_column(Lz, j, lin.rank))
+            hL = U.U.conj().T @ Lz[:, [k * N + j for k in range(lin.rank + 1)]]
             smins.append(np.linalg.svd(hL, compute_uv=False)[-1])
         assert min(smins) <= np.sqrt(N) * smin_L * (1 + 1e-6)
 
@@ -605,8 +602,8 @@ def test_walk_matrix_anticommutator_layout():
 
 
 def test_walk_matrix_covariance_contract():
-    # empirical covariance of vec(test_projection) against Phi^* Phi / N,
-    # with the projected column built independently from explicit L_i blocks
+    # empirical covariance of the vectorized test projection U^* col against
+    # Phi^* Phi / N, with the column built independently from explicit L_i blocks
     lin, _, _, U = _anti_setup(8)
     N, d, n = 8, 3, 2
     s = lin.s_matrix()
@@ -625,59 +622,11 @@ def test_walk_matrix_covariance_contract():
             for k in range(1, d):
                 Li[0, k] = xi[k - 1, i]
             col[np.arange(d) * N + i, :] = Li
-        vecs[t] = test_projection(U, col).flatten(order="F")
+        vecs[t] = (U.U.conj().T @ col).flatten(order="F")
     emp = np.einsum("ta,tb->ab", vecs, vecs.conj()) / trials
     target = phi.conj().T @ phi / N
     err = np.linalg.norm(emp - target) / np.linalg.norm(target)
     assert err <= 0.10
-
-
-# ------------------------------------------------------------- select rows
-
-def test_select_rows_orthonormal_rows():
-    N, d = 9, 3
-    U0 = np.zeros((N, d), dtype=complex)
-    support = [3, 7, 1]
-    for k, i in enumerate(support):
-        U0[i, k] = 1.0
-    idx = select_rows(U0, alpha=1.0)
-    assert sorted(idx) == sorted(support)
-    assert np.isclose(wedge_norm(U0[idx]), 1.0)
-
-
-def test_select_rows_haar_frame_satisfies_wedge_bound():
-    rng = np.random.default_rng(50)
-    for trial in range(5):
-        U0 = np.linalg.qr(
-            rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-        )[0]
-        alpha = np.linalg.svd(U0, compute_uv=False)[-1]
-        idx = select_rows(U0, alpha)  # wedge bound asserted internally
-        assert len(set(idx)) == 3
-
-
-def test_select_rows_greedy_vs_exhaustive():
-    rng = np.random.default_rng(51)
-    for N, d in ((6, 2), (8, 3), (10, 3)):
-        U0 = np.linalg.qr(
-            rng.normal(size=(N, d)) + 1j * rng.normal(size=(N, d))
-        )[0]
-        alpha = np.linalg.svd(U0, compute_uv=False)[-1]
-        idx = select_rows(U0, alpha)
-        greedy = wedge_norm(U0[idx])
-        exhaustive = max(
-            wedge_norm(U0[list(sub)]) for sub in itertools.combinations(range(N), d)
-        )
-        bound = (alpha / np.sqrt(N)) ** d
-        assert greedy >= bound * (1 - 1e-9)
-        assert exhaustive >= greedy - 1e-12
-
-
-def test_select_rows_precondition():
-    U0 = np.zeros((5, 2), dtype=complex)
-    U0[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        select_rows(U0, alpha=0.5)
 
 
 # --------------------------------------------------------------- det tails
