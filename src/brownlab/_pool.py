@@ -3,16 +3,17 @@
 Results are reduced by index, and every task draws from its own Philox
 substream, so outputs are identical for any thread count or schedule.
 
-Every map runs on one BLAS thread. A trial's products, SVD and eig are
-too small for OpenBLAS's second thread to pay its hand-off (in `tail` at
-N=100 with two pool threads on two cores, `evaluate` takes 2.5 ms of
-thread time per trial on 2 BLAS threads and 1.0 ms on 1), and `eig`'s
-last bits depend on the BLAS thread count, so pinning it also makes the
-trial loops' outputs independent of the host's core count. The count is
-process-wide: the first map to start sets it to 1, and the last to end
-restores what it was, also when a task raises. Work outside a map (one
-large `eigvals` in `spectrum`, the walks commands) keeps every BLAS
-thread. Without numpy's bundled OpenBLAS the pin does nothing.
+Every map runs on one BLAS thread, and `cli.dispatch` holds the same pin
+around every command, so the pool is the program's one source of
+parallelism. A trial's products, SVD and eig are too small for
+OpenBLAS's second thread to pay its hand-off (in `tail` at N=100 with two
+pool threads on two cores, `evaluate` takes 2.5 ms of thread time per
+trial on 2 BLAS threads and 1.0 ms on 1), and the last bits of `eig`,
+`eigvals` and the walk basis depend on the BLAS thread count, so the pin
+also makes every output independent of the host's core count. The count
+is process-wide: the first pin to start sets it to 1, and the last to end
+restores what it was, also when a task raises. Without numpy's bundled
+OpenBLAS the pin does nothing.
 
 Pool threads gain because a trial's largest cost, its SVD, runs without
 the GIL: `rmtcore.shifted_svals` calls LAPACK through `_openblas.svdvals`,
@@ -25,7 +26,6 @@ for the whole call. On two cores, 600 values-only SVDs at N=100 take
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -81,23 +81,19 @@ _BLAS = _BlasPin()
 
 
 def blas_record():
-    """numpy's OpenBLAS build string and its thread count outside any map.
+    """numpy's OpenBLAS build string, None without numpy's bundled OpenBLAS.
 
-    Both are None without numpy's bundled OpenBLAS. A manifest keeps this
-    record, outside its digests, because the walks commands and
-    `spectrum` run outside the pin, so their bytes can depend on it.
+    A manifest keeps this record, outside its digests, to explain a replay
+    mismatch on a host with another BLAS build.
     """
     config = symbol("openblas_get_config", ctypes.c_char_p)
     vendor = None if config is None else config().decode(errors="replace").strip()
-    return {"vendor": vendor, "threads": _BLAS.threads()}
+    return {"vendor": vendor}
 
 
 def default_threads():
-    env = os.environ.get("BROWNLAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """The pool size when a caller names none."""
+    return 1
 
 
 def parallel_map(fn, items, threads=None):

@@ -2,24 +2,24 @@
 
 Every subcommand writes its artifacts plus a manifest.json recording the
 exact argument vector, parameter set, seed, tool version, wall-clock
-duration, the BLAS build and thread count, and a sha256 digest per
-output file. Re-running the same arguments reproduces byte-identical
-outputs regardless of --threads and, for every command that runs its
-trials through the pool, of the BLAS thread count; `brownlab replay
-manifest.json -o DIR` re-executes a manifest and verifies the digests.
-Replay does not compare the BLAS record; it is there to explain a
-mismatch on a host with another BLAS or thread count.
+duration, the BLAS build, and a sha256 digest per output file. Every
+command runs on one BLAS thread; `--threads`, on the commands that have
+it, sizes the trial pool. Re-running the same arguments reproduces
+byte-identical outputs regardless of --threads and of the BLAS thread
+count; `brownlab replay manifest.json -o DIR` re-executes a manifest and
+verifies the digests. Replay does not compare the BLAS record; it is
+there to explain a mismatch on a host with another BLAS build.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid), 2 numerical backend failure. The
-parsers refuse non-finite numbers ('nan', 'inf'), a non-positive `--N`
-or `--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
-`brown --floor` or `walks-delta --threshold`, so those exit 1 before any
-work is done. Failure rule: a trial whose P = p(X) or L^z is non-finite,
-or whose LAPACK call fails, raises numpy's LinAlgError; that, a
-degenerate walk draw, a singular linearization factor and a MemoryError
-(an array too large to allocate) all exit 2, before any output file is
-written.
+parsers refuse non-finite numbers ('nan', 'inf'), a non-positive `--N`,
+`--trials` or `--threads`, and a non-positive `area --eps`,
+`linearize-check --tol`, `brown --floor` or `walks-delta --threshold`, so
+those exit 1 before any work is done. Failure rule: a trial whose
+P = p(X) or L^z is non-finite, or whose LAPACK call fails, raises numpy's
+LinAlgError; that, a degenerate walk draw, a singular linearization
+factor and a MemoryError (an array too large to allocate) all exit 2,
+before any output file is written.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
 help text, the argparse additions and a run(args, p, out) body. Given the
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._pool import blas_record, default_threads
+from ._pool import _BLAS, blas_record, parallel_map
 from .brown import brown_estimate, log_potential, stieltjes
 from .linearize import SingularFactorError, assemble_Lz, build_linearization, verify_schur
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
@@ -232,10 +232,9 @@ def _slope(est):
 # ------------------------------------------------------------ command bodies
 
 def _spectrum(args, p, out):
-    if args.trials < 1:
-        raise CliError("trials must be >= 1")
-    lam = np.concatenate([esd(trial_matrix(p, args.N, args.seed, t)).eigenvalues
-                          for t in range(args.trials)])
+    lam = np.concatenate(parallel_map(
+        lambda t: esd(trial_matrix(p, args.N, args.seed, t)).eigenvalues,
+        range(args.trials), threads=args.threads))
     path = out / "spectrum.csv"
     SpectrumSample(lam).to_csv(path)
     return {"spectrum.csv": path}, f"spectrum: {len(lam)} eigenvalues -> {path}"
@@ -355,7 +354,7 @@ def _arg(*flags, **kwargs):
 
 
 def _trials(default):
-    return _arg("--trials", type=int, default=default)
+    return _arg("--trials", type=parse_positive_int, default=default)
 
 
 _POLY = (
@@ -370,35 +369,36 @@ _EPS = _arg("--eps", type=parse_ladder, required=True,
 _J = _arg("--j", type=int, default=0, help="block column index")
 _RUN = (
     _arg("--seed", type=int, default=0),
-    _arg("--threads", type=parse_positive_int, default=None,
-         help="worker threads (default $BROWNLAB_THREADS or 1)"),
     _arg("-o", "--out", default="brownlab-out", help="output directory"),
 )
+# the commands that map their trials or grid chunks through the pool
+_POOL_RUN = (*_RUN, _arg("--threads", type=parse_positive_int, default=1,
+                         help="worker threads"))
 
 
 Command = namedtuple("Command", "name help arguments run")
 
 COMMANDS = {cmd.name: cmd for cmd in (
     Command("spectrum", "eigenvalue samples of p(X)",
-            (*_POLY, _trials(1), *_RUN), _spectrum),
+            (*_POLY, _trials(1), *_POOL_RUN), _spectrum),
     Command("linearize-check", "Schur resolvent identity residual",
             (*_POLY, _Z, *_RUN, _arg("--tol", type=parse_positive_float, default=1e-8)),
             _linearize_check),
     Command("smin-map", "grid map of smin(P - z)",
-            (*_POLY, _GRID, _trials(1), *_RUN), _smin_map),
+            (*_POLY, _GRID, _trials(1), *_POOL_RUN), _smin_map),
     Command("tail", "small-ball tail of smin(P - z)",
-            (*_POLY, _Z, _EPS, _trials(1000), *_RUN), _tail),
+            (*_POLY, _Z, _EPS, _trials(1000), *_POOL_RUN), _tail),
     Command("area", "expected pseudospectrum area in a rectangle",
-            (*_POLY, _GRID, _trials(1), *_RUN,
+            (*_POLY, _GRID, _trials(1), *_POOL_RUN,
              _arg("--eps", type=parse_positive_float, required=True)),
             _area),
     Command("brown", "log-potential and Brown density estimate",
-            (*_POLY, _GRID, _trials(1), *_RUN,
+            (*_POLY, _GRID, _trials(1), *_POOL_RUN,
              _arg("--floor", type=parse_positive_float, default=None,
                   help="singular value floor (default N^-6)")),
             _brown),
     Command("stieltjes", "Stieltjes transform of the hermitization",
-            (*_POLY, _Z, _trials(10), *_RUN,
+            (*_POLY, _Z, _trials(10), *_POOL_RUN,
              _arg("--eta", type=parse_ladder, required=True,
                   help="eta ladder lo:hi:log10[:count] or comma list")),
             _stieltjes),
@@ -408,7 +408,9 @@ COMMANDS = {cmd.name: cmd for cmd in (
                   help="structured threshold (default N^(-r/2-10))")),
             _walks_delta),
     Command("walks-dettail", "determinant small-ball experiment",
-            (*_POLY, _Z, _EPS, _trials(1000), *_RUN, _J), _walks_dettail),
+            # an int: the body states the floor, trials >= 100, for 0 too
+            (*_POLY, _Z, _EPS, _arg("--trials", type=int, default=1000), *_RUN, _J),
+            _walks_dettail),
     Command("free-moment", "free moment of a star word",
             (_arg("--word", required=True, help="e.g. 'c1 c1* c2 c2*'"),
              _arg("-o", "--out", default=None)),
@@ -467,13 +469,12 @@ def dispatch(argv):
             return _replay(args)
         t0 = time.time()
         cmd = COMMANDS[args.command]
-        if vars(args).get("threads", 1) is None:
-            args.threads = default_threads()
         p = _poly(args) if "poly" in vars(args) else None
         out = None if args.out is None else Path(args.out)
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        outputs, summary = cmd.run(args, p, out)
+        with _BLAS.one_thread():
+            outputs, summary = cmd.run(args, p, out)
         if outputs:
             _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", 0),
                             t0, outputs)

@@ -105,11 +105,11 @@ def _cvec(v):
     return [[z.real, z.imag] for z in np.asarray(v).ravel()]
 
 
-def build_linearization(p, rank_tol=1e-10):
+def build_linearization(p):
     """Construct the linearization of a polynomial of degree exactly 2."""
     if p.degree != 2:
         raise ValueError(f"linearization needs degree 2, got degree {p.degree}")
-    qd = quadratic_data(p, rank_tol=rank_tol)
+    qd = quadratic_data(p)
     if qd.rank == 0:
         raise ValueError("quadratic part has numerical rank 0")
     r = qd.rank

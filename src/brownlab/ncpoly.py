@@ -287,7 +287,7 @@ class QuadraticData:
 RANK_TOL = 1e-10
 
 
-def quadratic_data(p, rank_tol=RANK_TOL):
+def quadratic_data(p):
     """Extract (A, b, gamma, rank) from a polynomial of degree <= 2."""
     if p.degree > 2:
         raise ValueError(f"degree {p.degree} polynomial; quadratic_data needs degree <= 2")
@@ -303,7 +303,7 @@ def quadratic_data(p, rank_tol=RANK_TOL):
         else:
             gamma = coeff
     sv = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
     return QuadraticData(A=A, b=b, gamma=gamma, rank=rank)
 
 

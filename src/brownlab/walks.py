@@ -168,7 +168,8 @@ def _certified_complement(Lz, rows):
     except np.linalg.LinAlgError:
         return None
     norm = np.linalg.norm(Lz)
-    kappa = norm * np.linalg.norm(inv)
+    with np.errstate(over="ignore"):  # an infinite kappa is not certified
+        kappa = norm * np.linalg.norm(inv)
     if not np.isfinite(kappa) or kappa * NULLSPACE_RTOL * _CERT_MARGIN > 1.0:
         return None
     Q = np.linalg.qr(inv[rows].conj().T)[0]

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,19 @@ def test_threads_must_be_a_positive_integer(threads, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_tiny_polynomial_fails_without_a_warning(tmp_path, capsys):
+    # kappa_F of a 1e-300-scaled L^z overflows; that is "not certified",
+    # and the SVD route reports the rank deficiency as one stderr line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = dispatch(["walks-delta", "--poly", "1e-300*x1*x2", "--N", "4",
+                         "-o", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerical backend failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backend_failure_exits_two(tmp_path, capsys, monkeypatch):
     import brownlab.cli as cli
     from brownlab.walks import DegenerateDrawError
@@ -329,15 +343,17 @@ def test_every_numeric_flag_keeps_the_exit_contract(name, tmp_path, capsys):
             assert "MISMATCH" not in capsys.readouterr().out, argv
 
 
-def test_threads_default_comes_from_environment(monkeypatch):
-    from brownlab._pool import default_threads
-
-    monkeypatch.setenv("BROWNLAB_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("BROWNLAB_THREADS", "junk")
-    assert default_threads() == 1
-    monkeypatch.delenv("BROWNLAB_THREADS")
-    assert default_threads() == 1
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_threads_flag_only_where_a_pool_runs(name, tmp_path, capsys):
+    # commands without a trial pool refuse --threads instead of ignoring it
+    pooled = name in {"spectrum", "smin-map", "tail", "area", "brown", "stieltjes"}
+    flags = {f for flags, _ in COMMANDS[name].arguments for f in flags}
+    assert ("--threads" in flags) == pooled
+    if not pooled:
+        argv = [name, *_CONTRACT_BASE[name], "--threads", "2", "-o", str(tmp_path)]
+        assert dispatch(argv) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ subcommands
@@ -449,7 +465,7 @@ def test_brown_rejects_grid_without_interior_rectangle(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_nonpositive_trials_exit_one_and_write_nothing(argv, trials, tmp_path, capsys):
     assert dispatch(argv + ["--trials", trials, "-o", str(tmp_path)]) == 1
-    assert "trials must be >= 1" in capsys.readouterr().err
+    assert "--trials" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -541,34 +557,61 @@ def test_walks_dettail_rejects_few_trials_before_the_basis(trials, tmp_path, cap
 
 
 def test_manifest_records_blas_and_replay_ignores_it(tmp_path, capsys):
-    from brownlab._pool import _BLAS
-
     rundir = tmp_path / "run"
     args = ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6", "--z", "0", "--seed", "4"]
     assert dispatch(args + ["-o", str(rundir)]) == 0
     manifest = json.loads((rundir / "manifest.json").read_text())
     blas = manifest["blas"]
-    assert set(blas) == {"vendor", "threads"}
+    assert set(blas) == {"vendor"}
     assert "blas" not in manifest["outputs"]
     if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
         assert blas["vendor"].startswith("OpenBLAS")
-        assert blas["threads"] == _BLAS.threads() >= 1
     else:
-        assert blas == {"vendor": None, "threads": None}
+        assert blas == {"vendor": None}
     # a record from another host does not fail the replay
-    manifest["blas"] = {"vendor": "another BLAS", "threads": 64}
+    manifest["blas"] = {"vendor": "another BLAS"}
     (rundir / "manifest.json").write_text(json.dumps(manifest))
     code = dispatch(["replay", str(rundir / "manifest.json"), "-o", str(tmp_path / "r")])
     assert code == 0
     assert "MISMATCH" not in capsys.readouterr().out
 
 
+_REPLAY_ACROSS_BLAS = [
+    ["spectrum", "--poly", "x1*x2+x2*x1", "--N", "100", "--trials", "2", "--seed", "3"],
+    ["walks-delta", "--poly", "x1*x2+x2*x1+x3", "--n", "3", "--N", "40", "--z", "0.3",
+     "--seed", "1"],
+    ["walks-dettail", "--poly", "x1*x2+x2*x1+x3", "--n", "3", "--N", "40", "--z", "0.3",
+     "--eps", "1e-6:1e-1:log10", "--trials", "1000", "--seed", "1"],
+]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+@pytest.mark.parametrize("argv", _REPLAY_ACROSS_BLAS, ids=lambda argv: argv[0])
+def test_manifest_written_at_two_blas_threads_replays_at_one(argv, tmp_path):
+    # without the pin, eigvals and the walk basis differ in their last bits
+    # between one and two OpenBLAS threads at these sizes
+    import brownlab
+
+    src = str(Path(brownlab.__file__).resolve().parents[1])
+
+    def run(threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "brownlab.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    assert run(2, *argv, "-o", str(tmp_path / "run")).returncode == 0
+    replay = run(1, "replay", str(tmp_path / "run" / "manifest.json"),
+                 "-o", str(tmp_path / "replay"))
+    assert replay.returncode == 0, replay.stdout + replay.stderr
+    assert "MISMATCH" not in replay.stdout
+
+
 def test_blas_record_is_null_without_openblas(monkeypatch):
     from brownlab import _pool
 
     monkeypatch.setattr(_pool, "symbol", lambda *a: None)
-    monkeypatch.setattr(_pool, "_BLAS", _pool._BlasPin())
-    assert _pool.blas_record() == {"vendor": None, "threads": None}
+    assert _pool.blas_record() == {"vendor": None}
 
 
 def test_manifest_contents_and_replay(tmp_path, capsys):

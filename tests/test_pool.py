@@ -1,4 +1,4 @@
-"""parallel_map runs every map on one BLAS thread and restores the count after it."""
+"""parallel_map and every CLI command run on one BLAS thread and restore the count after it."""
 
 import sys
 import threading
@@ -91,4 +91,22 @@ def test_concurrent_maps_restore_only_when_the_last_ends(two_blas_threads):
     finally:
         sys.setswitchinterval(interval)
     assert seen == [1] * (6 * 20 * 4)
+    assert _BLAS.threads() == 2
+
+
+def test_dispatch_pins_a_body_without_a_pool(two_blas_threads, tmp_path, capsys, monkeypatch):
+    # walks-delta maps nothing through the pool; dispatch pins it all the same
+    from brownlab import cli
+
+    seen = []
+    scan = cli.delta_report
+
+    def traced(*args):
+        seen.append(_BLAS.threads())
+        return scan(*args)
+
+    monkeypatch.setattr(cli, "delta_report", traced)
+    assert cli.dispatch(["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "6",
+                         "-o", str(tmp_path)]) == 0
+    assert seen == [1]
     assert _BLAS.threads() == 2
