@@ -17,7 +17,6 @@ from .ncpoly import (
     circular_word_traces,
 )
 from .rmtcore import (
-    SpectrumSample,
     stream,
     ginibre_matrix,
     ginibre_tuple,

@@ -193,16 +193,17 @@ def _interior_cell_edges(grid):
     return re_edges, im_edges
 
 
-def compare_esd_brown(esd_sample, brown, bins):
+def compare_esd_brown(eigenvalues, brown, bins):
     """Total-variation distance between binned ESD and Brown density.
 
-    Eigenvalue mass is normalized over the whole sample; mass falling
-    outside the binning box counts fully toward the distance (the Brown
-    side has no mass there). The Brown density is clipped to nonnegative
+    eigenvalues is an array of eigenvalue samples, for example several
+    `rmtcore.esd` arrays concatenated. Eigenvalue mass is normalized over
+    the whole sample; mass falling outside the binning box counts fully
+    toward the distance (the Brown side has no mass there). The Brown density is clipped to nonnegative
     and renormalized before comparison. bins must coincide with the grid
     the Brown estimate was computed on.
     """
-    lam = np.asarray(esd_sample.eigenvalues)
+    lam = np.asarray(eigenvalues)
     if lam.size == 0:
         raise ValueError("empty spectrum")
     g = brown.grid

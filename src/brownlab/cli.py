@@ -11,15 +11,17 @@ verifies the digests. Replay does not compare the BLAS record; it is
 there to explain a mismatch on a host with another BLAS build.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
-polynomial, unsatisfiable grid), 2 numerical backend failure. The
-parsers refuse non-finite numbers ('nan', 'inf'), a non-positive `--N`,
-`--trials` or `--threads`, and a non-positive `area --eps`,
-`linearize-check --tol`, `brown --floor` or `walks-delta --threshold`, so
-those exit 1 before any work is done. Failure rule: a trial whose
-P = p(X) or L^z is non-finite, or whose LAPACK call fails, raises numpy's
-LinAlgError; that, a degenerate walk draw, a singular linearization
-factor and a MemoryError (an array too large to allocate) all exit 2,
-before any output file is written.
+polynomial, unsatisfiable grid, an uncreatable output directory, a bad
+replay manifest), 2 numerical backend failure. The parsers refuse
+non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
+`--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
+`brown --floor` or `walks-delta --threshold`, so those exit 1 before any
+work is done. Failure rule: a trial whose P = p(X) or L^z is non-finite,
+or whose LAPACK call fails, raises numpy's LinAlgError; that, a
+degenerate walk draw, a singular linearization factor, a failed Schur
+check and a MemoryError (an array too large to allocate) all exit 2,
+before any output file is written. An OSError while writing outputs is
+outside this contract.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
 help text, the argparse additions and a run(args, p, out) body. Given the
@@ -49,7 +51,8 @@ import numpy as np
 from . import __version__
 from ._pool import _BLAS, blas_record, parallel_map
 from .brown import brown_estimate, log_potential, stieltjes
-from .linearize import SingularFactorError, assemble_Lz, build_linearization, verify_schur
+from .linearize import (SchurMismatchError, SingularFactorError, assemble_Lz,
+                        build_linearization, verify_schur)
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
 from .pseudospec import (
     GridSpec,
@@ -59,14 +62,14 @@ from .pseudospec import (
     trial_matrix,
     trial_tuple,
 )
-from .rmtcore import SpectrumSample, esd
+from .rmtcore import esd, write_csv
 from .walks import DegenerateDrawError, delta_report, det_tail_experiment, orthocomplement_basis
 
 __all__ = ["main", "dispatch"]
 
 # Caught before ValueError, which np.linalg.LinAlgError subclasses.
-_BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, np.linalg.LinAlgError,
-                   MemoryError)
+_BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, SchurMismatchError,
+                   np.linalg.LinAlgError, MemoryError)
 
 
 class CliError(ValueError):
@@ -139,14 +142,18 @@ def _increasing(vals):
     return vals
 
 
-def parse_ladder(text, default_count=10):
+# Rungs of a 'lo:hi:log10' ladder that gives no count.
+_LADDER_COUNT = 10
+
+
+def parse_ladder(text):
     """'lo:hi:log10[:count]' log-spaced ladder, or a comma list of values."""
     if ":" not in text:
         return _increasing(np.array([float(v) for v in text.split(",")]))
     parts = text.split(":")
     if len(parts) not in (3, 4) or parts[2] != "log10":
         raise CliError(f"ladder must look like lo:hi:log10[:count], got {text!r}")
-    count = int(parts[3]) if len(parts) == 4 else default_count
+    count = int(parts[3]) if len(parts) == 4 else _LADDER_COUNT
     if count < 1:
         raise CliError("ladder needs count >= 1")
     lo, hi = np.log10(_increasing(np.array([float(parts[0]), float(parts[1])])))
@@ -233,10 +240,10 @@ def _slope(est):
 
 def _spectrum(args, p, out):
     lam = np.concatenate(parallel_map(
-        lambda t: esd(trial_matrix(p, args.N, args.seed, t)).eigenvalues,
+        lambda t: esd(trial_matrix(p, args.N, args.seed, t)),
         range(args.trials), threads=args.threads))
     path = out / "spectrum.csv"
-    SpectrumSample(lam).to_csv(path)
+    write_csv(path, {"re": lam.real, "im": lam.imag})
     return {"spectrum.csv": path}, f"spectrum: {len(lam)} eigenvalues -> {path}"
 
 
@@ -426,7 +433,15 @@ _OUT_FLAG = re.compile(r"-o.*|--o(?:u|ut)?(?:=.*)?")
 
 
 def _replay(args):
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read manifest: {exc}") from exc
+    # argv must name a command of COMMANDS, so a replay never replays a replay
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and argv and all(isinstance(t, str) for t in argv)
+            and argv[0] in COMMANDS and isinstance(manifest.get("outputs"), dict)):
+        raise CliError("manifest needs an argv naming a command and an outputs object")
     # swap the recorded output directory for the replay target
     argv, skip = [], False
     for tok in manifest["argv"]:
@@ -442,7 +457,8 @@ def _replay(args):
         return code
     ok = True
     for name, digest in manifest["outputs"].items():
-        match = _sha256(Path(args.out) / name) == digest
+        path = Path(args.out) / name
+        match = path.is_file() and _sha256(path) == digest
         ok = ok and match
         print(f"replay: {name} {'OK' if match else 'MISMATCH'}")
     return 0 if ok else 1
@@ -472,7 +488,10 @@ def dispatch(argv):
         p = _poly(args) if "poly" in vars(args) else None
         out = None if args.out is None else Path(args.out)
         if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise CliError(f"cannot create output directory: {exc}") from exc
         with _BLAS.one_thread():
             outputs, summary = cmd.run(args, p, out)
         if outputs:

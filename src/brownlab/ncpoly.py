@@ -375,12 +375,12 @@ def _pairable(a, b):
 def free_moment(w):
     """Count non-crossing pairings with equal indices and opposite markers.
 
-    This is the mixed moment of free circular elements on the word w.
+    This is the mixed moment of free circular elements on the StarWord w.
     Non-crossing structure lets intervals be counted independently, so the
     recursion is over intervals with memoization; exact integers for any
     word length that fits in memory (intended for k <= 16 or so).
     """
-    letters = w.letters if isinstance(w, StarWord) else tuple(w)
+    letters = w.letters
     k = len(letters)
     if k == 0:
         return 1

@@ -44,6 +44,9 @@ __all__ = [
 # their Wilson intervals are too wide to constrain a fit.
 MIN_HITS_FOR_SLOPE = 5
 
+# Two-sided 95% standard normal quantile of the Wilson intervals.
+WILSON_Z = 1.959963984540054
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -109,14 +112,14 @@ class GridField:
         if self.values.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("values shape must match the grid")
 
-    def to_csv(self, path_or_file, extras=None):
+    def to_csv(self, path, extras=None):
         """CSV rows 're,im,value' in row-major node order.
 
         extras maps column name to an (nx, ny) array appended per row.
         """
         nodes = self.spec.nodes()
-        write_csv(path_or_file, {"re": nodes.real, "im": nodes.imag,
-                                 "value": self.values, **(extras or {})})
+        write_csv(path, {"re": nodes.real, "im": nodes.imag,
+                         "value": self.values, **(extras or {})})
 
 
 def trial_tuple(num_vars, N, seed, trial):
@@ -136,27 +139,27 @@ def trial_matrix(p, N, seed, trial):
     return P
 
 
-def wilson_interval(hits, trials, z_score=1.959963984540054):
+def wilson_interval(hits, trials):
     """Wilson 95% interval for a binomial rate."""
     if trials == 0:
         return (0.0, 1.0)
     phat = hits / trials
-    z2 = z_score * z_score
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z_score / denom * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2))
+    half = WILSON_Z / denom * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2))
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def fit_tail_slope(eps_ladder, hits, trials, min_hits=MIN_HITS_FOR_SLOPE):
+def fit_tail_slope(eps_ladder, hits, trials):
     """Least-squares slope of log(hit rate) against log(eps).
 
-    Rungs with fewer than min_hits hits are dropped. Returns None when
-    fewer than two rungs remain (e.g. every rung empty).
+    Rungs with fewer than MIN_HITS_FOR_SLOPE hits are dropped. Returns
+    None when fewer than two rungs remain (e.g. every rung empty).
     """
     eps_ladder = np.asarray(eps_ladder, dtype=float)
     hits = np.asarray(hits)
-    use = hits >= min_hits
+    use = hits >= MIN_HITS_FOR_SLOPE
     if use.sum() < 2:
         return None
     x = np.log(eps_ladder[use])
@@ -177,10 +180,6 @@ class TailEstimate:
     trials: int
     slope: float | None
     ci: tuple
-
-    @property
-    def rates(self):
-        return self.hits / self.trials
 
     @staticmethod
     def from_samples(samples, eps_ladder, z, N):

@@ -13,14 +13,11 @@ numpy's LinAlgError and ends the run (exit code 2 from the CLI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._openblas import svdvals
 
 __all__ = [
-    "SpectrumSample",
     "stream",
     "ginibre_matrix",
     "ginibre_tuple",
@@ -72,20 +69,7 @@ def haar_unitary(d, rng):
     return q * ph
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Multiset of eigenvalues; the uniform measure on them is the ESD."""
-
-    eigenvalues: np.ndarray
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-    def to_csv(self, path_or_file):
-        write_csv(path_or_file, {"re": self.eigenvalues.real, "im": self.eigenvalues.imag})
-
-
-def write_csv(path_or_file, columns):
+def write_csv(path, columns):
     """CSV with a header row, then one row of '.17g' reals per index.
 
     columns maps header name to an array; the arrays are read in
@@ -94,15 +78,13 @@ def write_csv(path_or_file, columns):
     names = ",".join(columns)
     rows = zip(*(np.asarray(c).ravel().tolist() for c in columns.values()), strict=True)
     text = names + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def esd(M):
-    """Eigenvalues of a square matrix, with multiplicity.
+    """Eigenvalues of a square matrix, with multiplicity; the uniform
+    measure on them is the empirical spectral distribution.
 
     A non-square or non-finite M raises ValueError; a LAPACK failure
     raises LinAlgError.
@@ -112,7 +94,7 @@ def esd(M):
         raise ValueError("esd expects a square matrix")
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise ValueError("esd expects finite entries")
-    return SpectrumSample(eigenvalues=np.linalg.eigvals(M))
+    return np.linalg.eigvals(M)
 
 
 def shifted_svals(P, shifts):

@@ -241,6 +241,56 @@ def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+# Constructor arguments of every numerical-failure class brownlab defines.
+_FAILURE_ARGS = {
+    "DegenerateDrawError": ("forced degenerate draw",),
+    "SingularFactorError": ("linearization L^z", 0.0),
+    "SchurMismatchError": ("forced Schur mismatch",),
+}
+
+
+def test_every_numerical_failure_class_exits_two(tmp_path, capsys, monkeypatch):
+    # an exception class brownlab defines is a numerical failure unless it
+    # is a ValueError (a validation error, exit 1); each one, injected into
+    # linearize-check, exits 2 with one stderr line and no output
+    import inspect
+
+    import brownlab
+    import brownlab.cli as cli
+
+    failures = {name: cls for name, cls in inspect.getmembers(brownlab, inspect.isclass)
+                if issubclass(cls, Exception) and not issubclass(cls, ValueError)}
+    assert set(failures) == set(_FAILURE_ARGS)
+    for name, cls in failures.items():
+        def boom(*a, **k):
+            raise cls(*_FAILURE_ARGS[name])
+
+        monkeypatch.setattr(cli, "verify_schur", boom)
+        out = tmp_path / name
+        code = dispatch(["linearize-check", "--poly", "x1*x2+x2*x1", "--N", "5",
+                         "-o", str(out)])
+        assert code == 2, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numerical backend failure" in err, name
+        assert list(out.iterdir()) == [], name
+
+
+def test_output_path_naming_a_file_exits_one(tmp_path, capsys, monkeypatch):
+    import brownlab.cli as cli
+
+    def started(*a, **k):
+        raise AssertionError("sampling ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "esd", started)
+    path = tmp_path / "taken"
+    path.write_bytes(b"keep me\n")
+    code = dispatch(["spectrum", "--poly", "x1*x2", "--N", "5", "-o", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: cannot create output directory")
+    assert path.read_bytes() == b"keep me\n"
+
+
 _LINALG_CASES = [
     # the sigma(P - z) commands reach LAPACK through rmtcore's kernel
     ("svdvals", ["tail", "--poly", "x1*x2+x2*x1", "--N", "8", "--eps", "1e-3:1e-1:log10:3",
@@ -290,8 +340,8 @@ def test_non_finite_p_exits_two_and_writes_nothing(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# One small valid command line per command; the contract test below varies
-# each numeric flag of the command table on top of it.
+# One small valid command line per command; the contract tests below vary
+# each numeric flag of the command table, and each part of --grid, on top of it.
 _CONTRACT_BASE = {
     "spectrum": ["--poly", "x1*x2+x2*x1", "--N", "5"],
     "linearize-check": ["--poly", "x1*x2+x2*x1", "--N", "5"],
@@ -316,31 +366,52 @@ def _numeric_flags(cmd):
             yield next(f for f in flags if f.startswith("--"))
 
 
+def _with(argv, flag, value):
+    """argv with flag set to value, in place of its base value if it has one."""
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+def _assert_exit_contract(argv, out, replay_out, capsys):
+    # the exit code is 0, 1 or 2, a failed run leaves no file, and a run
+    # that succeeds replays; an exception escaping dispatch, a traceback at
+    # the command line, fails the test
+    code = dispatch(argv + ["-o", str(out)])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
+    if code != 0:
+        assert not out.exists() or list(out.iterdir()) == [], argv
+        return
+    code = dispatch(["replay", str(out / "manifest.json"), "-o", str(replay_out)])
+    assert code == 0, argv
+    assert "MISMATCH" not in capsys.readouterr().out, argv
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_every_numeric_flag_keeps_the_exit_contract(name, tmp_path, capsys):
-    # each numeric flag at 0, -1, nan and inf, with N at most 5: the exit code
-    # is 0, 1 or 2, a failed run leaves no file, and a run that succeeds
-    # replays; an exception escaping dispatch, a traceback at the command
-    # line, fails the test
-    base = _CONTRACT_BASE[name]
+    # each numeric flag at 0, -1, nan and inf, with N at most 5
     for flag in _numeric_flags(COMMANDS[name]):
         for value in _NOT_POSITIVE:
-            argv = [name, *base]
-            if flag in argv:
-                argv[argv.index(flag) + 1] = value
-            else:
-                argv += [flag, value]
-            out = tmp_path / f"{flag}={value}"
-            code = dispatch(argv + ["-o", str(out)])
-            assert code in (0, 1, 2), argv
-            assert "Traceback" not in capsys.readouterr().err, argv
-            if code != 0:
-                assert not out.exists() or list(out.iterdir()) == [], argv
-                continue
-            code = dispatch(["replay", str(out / "manifest.json"),
-                             "-o", str(tmp_path / f"replay{flag}={value}")])
-            assert code == 0, argv
-            assert "MISMATCH" not in capsys.readouterr().out, argv
+            _assert_exit_contract(_with([name, *_CONTRACT_BASE[name]], flag, value),
+                                  tmp_path / f"{flag}={value}",
+                                  tmp_path / f"replay{flag}={value}", capsys)
+
+
+@pytest.mark.parametrize("name", ["smin-map", "area", "brown"])
+def test_every_grid_part_keeps_the_exit_contract(name, tmp_path, capsys):
+    # each of the six parts of --grid at 0, -1, nan and inf in turn; no
+    # huge value is tried, since a huge nx or ny would allocate its nodes
+    argv = [name, *_CONTRACT_BASE[name]]
+    base = argv[argv.index("--grid") + 1].split(",")
+    for k in range(6):
+        for value in _NOT_POSITIVE:
+            grid = ",".join(value if i == k else part for i, part in enumerate(base))
+            _assert_exit_contract(_with(argv, "--grid", grid), tmp_path / f"{k}={value}",
+                                  tmp_path / f"replay{k}={value}", capsys)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -633,6 +704,56 @@ def test_manifest_contents_and_replay(tmp_path, capsys):
         # the replayed run names the new directory only
         replayed = json.loads((replay_dir / "manifest.json").read_text())["argv"]
         assert replayed == args + ["-o", str(replay_dir)]
+
+
+def _manifest(tmp_path, edit):
+    """A free-moment manifest as JSON text, after edit(manifest) ran on it."""
+    rundir = tmp_path / "run"
+    assert dispatch(["free-moment", "--word", "c1 c1*", "-o", str(rundir)]) == 0
+    manifest = json.loads((rundir / "manifest.json").read_text())
+    edit(manifest)
+    return json.dumps(manifest)
+
+
+_BAD_MANIFESTS = {
+    "missing file": None,
+    "not JSON": lambda tmp_path: "{",
+    "not an object": lambda tmp_path: "[]",
+    "no argv": lambda tmp_path: _manifest(tmp_path, lambda m: m.pop("argv")),
+    "argv not a list": lambda tmp_path: _manifest(tmp_path, lambda m: m.update(argv=5)),
+    "argv not strings": lambda tmp_path: _manifest(
+        tmp_path, lambda m: m.update(argv=["free-moment", "--word", 5])),
+    "argv names no command": lambda tmp_path: _manifest(
+        tmp_path, lambda m: m.update(argv=["spectra", "--N", "5"])),
+    "replays itself": lambda tmp_path: _manifest(
+        tmp_path, lambda m: m.update(argv=["replay", str(tmp_path / "manifest.json")])),
+    "no outputs": lambda tmp_path: _manifest(tmp_path, lambda m: m.pop("outputs")),
+    "outputs not an object": lambda tmp_path: _manifest(
+        tmp_path, lambda m: m.update(outputs=["freemoment.json"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MANIFESTS))
+def test_replay_of_a_bad_manifest_exits_one(case, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    if _BAD_MANIFESTS[case] is not None:
+        path.write_text(_BAD_MANIFESTS[case](tmp_path))
+    capsys.readouterr()
+    code = dispatch(["replay", str(path), "-o", str(tmp_path / "r")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert not (tmp_path / "r").exists()
+
+
+def test_replay_reports_a_missing_output_as_mismatch(tmp_path, capsys):
+    text = _manifest(tmp_path, lambda m: m["outputs"].update({"absent.json": "0" * 64}))
+    (tmp_path / "manifest.json").write_text(text)
+    code = dispatch(["replay", str(tmp_path / "manifest.json"), "-o", str(tmp_path / "r")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "freemoment.json OK" in out and "absent.json MISMATCH" in out
 
 
 def test_replay_detects_mismatch(tmp_path, capsys):

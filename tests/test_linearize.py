@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_build_rank_deficient_rotation(text, n, r):
     recon = sum(np.outer(R[k - 1], np.conj(lin.s[k])) for k in range(1, r + 1))
     assert np.abs(recon - A).max() <= 1e-12
     X = ginibre_tuple(n, 6, stream(12, STREAM_GINIBRE, 0))
-    assert verify_schur(lin, X, 0.3 + 0.1j, tol=1e-8) <= 1e-8
+    assert verify_schur(lin, X, 0.3 + 0.1j) <= 1e-8
 
 
 def test_build_rejects_wrong_degree():
@@ -268,11 +269,14 @@ def test_verify_schur_singular_reported_distinctly():
     assert err.value.smin <= 1e-10
 
 
-def test_verify_schur_tol_enforcement():
+def test_verify_schur_domination_violation():
+    # a linearization paired with the wrong polynomial: P - z = 1e-6 Id,
+    # whose inverse has norm 1e6, far above that of the whole (L^z)^{-1}
     lin = build_linearization(parse("x1*x2 + x2*x1"))
+    lin = dataclasses.replace(lin, source=NcPoly(2, {(): 0.4 + 1e-6}))
     X = ginibre_tuple(2, 5, stream(7, STREAM_GINIBRE, 0))
-    with pytest.raises(SchurMismatchError):
-        verify_schur(lin, X, 0.4, tol=1e-18)
+    with pytest.raises(SchurMismatchError, match="domination"):
+        verify_schur(lin, X, 0.4)
 
 
 def test_gauge_invariance_of_corner_resolvent():

@@ -637,7 +637,7 @@ def test_det_tail_degenerate_single_block_walk():
     U = _single_block_basis(8, 2, i0=2)
     lin = build_linearization(ANTI)
     est = det_tail_experiment(U, lin.s_matrix(), 0, np.logspace(-12, -1, 5), 200, 1)
-    assert np.all(est.rates == 1.0)
+    assert np.all(est.hits == est.trials)
 
 
 def test_det_tail_unstructured_slope():
@@ -670,7 +670,7 @@ def test_det_tail_rate_one_above_max_det():
     _, _, _, U = _anti_setup(10)
     lin = build_linearization(ANTI)
     est = det_tail_experiment(U, lin.s_matrix(), 0, np.array([100.0]), 150, seed=3)
-    assert est.rates[-1] == 1.0
+    assert est.hits[-1] == est.trials
 
 
 def test_det_tail_requires_trials():
@@ -742,7 +742,7 @@ def test_det_tail_rates_agree_with_the_full_walk():
     assert 0 < got.hits[-1] < trials
     pooled = (got.hits + ref.hits) / (2 * trials)
     se = np.sqrt(2 * pooled * (1 - pooled) / trials)
-    assert np.all(np.abs(got.rates - ref.rates) <= 4 * se)
+    assert np.all(np.abs(got.hits - ref.hits) / trials <= 4 * se)
 
 
 def test_det_tail_runs_when_nN_is_below_the_walk_dimension():
