@@ -6,12 +6,10 @@ __version__ = "0.1.0"
 
 from .ncpoly import (
     NcPoly,
-    QuadraticData,
     StarWord,
     ParseError,
     parse,
     parse_star_word,
-    quadratic_data,
     evaluate,
     free_moment,
     circular_word_traces,

@@ -11,8 +11,9 @@ verifies the digests. Replay does not compare the BLAS record; it is
 there to explain a mismatch on a host with another BLAS build.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
-polynomial, unsatisfiable grid, an uncreatable output directory, a bad
-replay manifest), 2 numerical backend failure. The parsers refuse
+polynomial, unsatisfiable grid, a star word too long for free-moment, an
+uncreatable output directory, a bad replay manifest or one whose argv
+only asks for help), 2 numerical backend failure. The parsers refuse
 non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
 `--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
 `brown --floor` or `walks-delta --threshold`, so those exit 1 before any
@@ -72,7 +73,9 @@ _BACKEND_ERRORS = (DegenerateDrawError, SingularFactorError, SchurMismatchError,
                    np.linalg.LinAlgError, MemoryError)
 
 
-class CliError(ValueError):
+# An ArgumentTypeError raised by a type= parser reaches stderr with its
+# message; argparse replaces a plain ValueError's with "invalid ... value".
+class CliError(argparse.ArgumentTypeError, ValueError):
     pass
 
 
@@ -451,7 +454,10 @@ def _replay(args):
             skip = tok in ("-o", "--o", "--ou", "--out")
         else:
             argv.append(tok)
-    code = dispatch(argv + ["-o", args.out])
+    try:
+        code = dispatch(argv + ["-o", args.out])
+    except SystemExit as exc:  # argparse printed help: the argv asks for no run
+        raise CliError("manifest argv runs no command (a help flag?)") from exc
     if code != 0:
         print(f"replay: command failed with exit code {code}")
         return code

@@ -1,6 +1,7 @@
 """SVD-based linearization of a degree-2 polynomial and its block matrix.
 
-A degree-2 polynomial p with quadratic coefficient matrix A of rank r is
+A degree-2 polynomial p = sum A[l,m] x_l x_m + sum b[l] x_l + gamma, with
+A, b and gamma read straight from its terms and A of numerical rank r, is
 realized as the (0,0) resolvent block of an (r+1)N x (r+1)N matrix L^z
 whose entries are degree-1 in the inputs: write A = U S V*, put
 s_0 = conj(b), s_k = sigma_k v_k, and r_k = conj(u_k). Rotating the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ncpoly import NcPoly, evaluate, quadratic_data
+from .ncpoly import NcPoly, evaluate
 
 __all__ = [
     "Linearization",
@@ -105,23 +106,35 @@ def _cvec(v):
     return [[z.real, z.imag] for z in np.asarray(v).ravel()]
 
 
+# Rank cutoff relative to the top singular value. Coefficients are
+# user-supplied exact-ish constants, so the cut sits far below any
+# intentional scale separation.
+RANK_TOL = 1e-10
+
+
 def build_linearization(p):
-    """Construct the linearization of a polynomial of degree exactly 2."""
+    """Construct the linearization of a polynomial of degree exactly 2.
+
+    One SVD of A != 0 gives the rank (at least 1), s-vectors and rotation.
+    """
     if p.degree != 2:
         raise ValueError(f"linearization needs degree 2, got degree {p.degree}")
-    qd = quadratic_data(p)
-    if qd.rank == 0:
-        raise ValueError("quadratic part has numerical rank 0")
-    r = qd.rank
-    U, sigma, Vh = np.linalg.svd(qd.A)
-    s = [np.conj(qd.b)]
-    for k in range(r):
-        s.append(sigma[k] * np.conj(Vh[k]))
+    n = p.num_vars
+    A = np.zeros((n, n), dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    for word, coeff in p.terms.items():
+        if len(word) == 2:
+            A[word[0] - 1, word[1] - 1] = coeff
+        elif len(word) == 1:
+            b[word[0] - 1] = coeff
+    U, sigma, Vh = np.linalg.svd(A)
+    r = int(np.sum(sigma > RANK_TOL * sigma[0]))
+    s = (np.conj(b), *(sigma[k] * np.conj(Vh[k]) for k in range(r)))
 
     # Rows k of the rotation are the unconjugated SVD left columns, so that
     # (R x)_k recovers the k-th left linear factor of the quadratic part for
     # k < r; the full SVD's remaining columns complete R to a unitary.
-    return Linearization(rank=r, s=tuple(s), rotation=U.T, gamma=qd.gamma, source=p)
+    return Linearization(rank=r, s=s, rotation=U.T, gamma=p.terms.get((), 0j), source=p)
 
 
 def assemble_Lz(lin, X, z):

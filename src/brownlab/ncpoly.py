@@ -1,9 +1,7 @@
 """Non-commutative polynomials: parsing, matrix evaluation, free moments.
 
 A polynomial in n non-commuting variables is stored sparsely as a map from
-words (tuples over 1..n) to complex coefficients. The quadratic extraction
-splits a degree <= 2 polynomial into its coefficient matrix A, linear
-vector b, and constant gamma, which is what the linearization consumes.
+words (tuples over 1..n) to complex coefficients.
 
 Free moments of words in circular variables are counted by enumerating
 non-crossing pairings in which every pair joins equal indices with opposite
@@ -20,12 +18,10 @@ import numpy as np
 
 __all__ = [
     "NcPoly",
-    "QuadraticData",
     "StarWord",
     "ParseError",
     "parse",
     "parse_star_word",
-    "quadratic_data",
     "evaluate",
     "free_moment",
     "star_word_matrix",
@@ -85,23 +81,11 @@ class NcPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def _binop(self, other, sign):
-        if isinstance(other, (int, float, complex)):
-            other = NcPoly(self.num_vars, {(): other})
-        n = max(self.num_vars, other.num_vars)
+    def __add__(self, other):
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + sign * c
-        return NcPoly(n, terms)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
+            terms[w] = terms.get(w, 0) + c
+        return NcPoly(max(self.num_vars, other.num_vars), terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -113,12 +97,6 @@ class NcPoly:
                 w = w1 + w2
                 terms[w] = terms.get(w, 0) + c1 * c2
         return NcPoly(n, terms)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self * (-1)
 
     def with_num_vars(self, n):
         return NcPoly(n, self.terms)
@@ -175,6 +153,12 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Deepest parenthesis nesting parse accepts. Each level costs three Python
+# frames of the recursive descent, so this keeps far below the interpreter's
+# recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over:  expr := term (('+'|'-') term)* ;
     term := factor ('*' factor)* ; factor := coeff | var | '(' expr ')'.
@@ -184,6 +168,7 @@ class _Parser:
         self.text = text
         self.num_vars = num_vars
         self.pos = 0
+        self.depth = 0
         self.tok = None
         self._advance()
 
@@ -246,10 +231,14 @@ class _Parser:
             self._advance()
             return NcPoly(max(value, self._n_default()), {(value,): 1.0})
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", offset)
+            self.depth += 1
             self._advance()
             poly = self.expr()
             if not (self.tok[0] == "op" and self.tok[1] == ")"):
                 raise ParseError("expected ')'", self.tok[2])
+            self.depth -= 1
             self._advance()
             return poly
         raise ParseError("expected coefficient, variable, or '('", offset)
@@ -263,48 +252,13 @@ def parse(text, num_vars=None):
 
     If num_vars is given, variable indices above it are rejected;
     otherwise n is the largest index that occurs (n=1 for constants).
+    Parentheses nest at most MAX_NESTING (100) deep.
     """
     poly = _Parser(text, num_vars).parse()
     if num_vars is not None:
         return poly.with_num_vars(num_vars)
     top = max((max(w) for w in poly.terms if w), default=1)
     return poly.with_num_vars(top)
-
-
-@dataclass(frozen=True)
-class QuadraticData:
-    """Coefficient split p = sum A[l,m] x_l x_m + sum b[l] x_l + gamma."""
-
-    A: np.ndarray
-    b: np.ndarray
-    gamma: complex
-    rank: int
-
-
-# Rank cutoff relative to the top singular value. Coefficients are
-# user-supplied exact-ish constants, so the cut sits far below any
-# intentional scale separation.
-RANK_TOL = 1e-10
-
-
-def quadratic_data(p):
-    """Extract (A, b, gamma, rank) from a polynomial of degree <= 2."""
-    if p.degree > 2:
-        raise ValueError(f"degree {p.degree} polynomial; quadratic_data needs degree <= 2")
-    n = p.num_vars
-    A = np.zeros((n, n), dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    gamma = 0j
-    for word, coeff in p.terms.items():
-        if len(word) == 2:
-            A[word[0] - 1, word[1] - 1] = coeff
-        elif len(word) == 1:
-            b[word[0] - 1] = coeff
-        else:
-            gamma = coeff
-    sv = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-    return QuadraticData(A=A, b=b, gamma=gamma, rank=rank)
 
 
 def evaluate(p, X):
@@ -315,8 +269,6 @@ def evaluate(p, X):
     X = [np.asarray(M) for M in X]
     if len(X) < p.num_vars:
         raise ValueError(f"need {p.num_vars} matrices, got {len(X)}")
-    if not X:
-        raise ValueError("need at least one matrix to fix the dimension")
     N = X[0].shape[0]
     for M in X:
         if M.shape != (N, N):
@@ -372,16 +324,26 @@ def _pairable(a, b):
     return a[0] == b[0] and a[1] != b[1]
 
 
+# Longest star word free_moment accepts. The interval recursion nests one
+# cached call, two Python frames, per pair of letters, so this keeps inside
+# the interpreter's recursion limit; the alternating word of 900 letters
+# already takes about 40 s.
+MAX_WORD_LETTERS = 512
+
+
 def free_moment(w):
     """Count non-crossing pairings with equal indices and opposite markers.
 
     This is the mixed moment of free circular elements on the StarWord w.
     Non-crossing structure lets intervals be counted independently, so the
-    recursion is over intervals with memoization; exact integers for any
-    word length that fits in memory (intended for k <= 16 or so).
+    recursion is over intervals with memoization; exact integers for words
+    of at most MAX_WORD_LETTERS (512) letters, and a ValueError for a
+    longer one.
     """
     letters = w.letters
     k = len(letters)
+    if k > MAX_WORD_LETTERS:
+        raise ValueError(f"star word of {k} letters exceeds {MAX_WORD_LETTERS}")
     if k == 0:
         return 1
     if k % 2 == 1:

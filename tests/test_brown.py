@@ -194,7 +194,8 @@ def test_translation_covariance():
     c = 0.5 + 0.25j
     g1 = GridSpec(-1.0, 1.0, -1.0, 1.0, 7, 7)
     g2 = GridSpec(-1.0 + c.real, 1.0 + c.real, -1.0 + c.imag, 1.0 + c.imag, 7, 7)
-    p_shift = ANTI + c
+    p_shift = parse("x1*x2 + x2*x1 + (0.5+0.25i)")
+    assert p_shift.terms[()] == c
     f1 = log_potential(ANTI, 14, g1, trials=2, seed=6)
     f2 = log_potential(p_shift, 14, g2, trials=2, seed=6)
     # identical samples: h2(z) = h1(z - c) exactly, so densities match

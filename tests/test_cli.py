@@ -197,6 +197,40 @@ def test_threads_must_be_a_positive_integer(threads, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name, flag, value, reason", [
+    ("tail", "--z", "nan", "complex number 'nan' is not finite"),
+    ("tail", "--eps", "0.2,0.1",
+     "ladder values must be finite, positive and strictly increasing"),
+    ("smin-map", "--grid", "1,2", "grid must be re_min,re_max,im_min,im_max,nx,ny"),
+    ("tail", "--eps", "1:2:log10:0", "ladder needs count >= 1"),
+], ids=["z-nan", "eps-decreasing", "grid-two-parts", "eps-count-zero"])
+def test_parser_reasons_reach_stderr(name, flag, value, reason, tmp_path, capsys):
+    argv = _with([name, *_CONTRACT_BASE[name]], flag, value) + ["-o", str(tmp_path)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: argument {flag}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.out == ""
+    return captured.err
+
+
+def test_deeply_nested_polynomial_exits_one(tmp_path, capsys):
+    poly = "(" * 5000 + "x1*x2" + ")" * 5000
+    assert dispatch(["spectrum", "--poly", poly, "--N", "4", "-o", str(tmp_path)]) == 1
+    assert "parentheses nest deeper than 100" in _assert_one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_long_star_word_exits_one(capsys):
+    assert dispatch(["free-moment", "--word", "c1 c1* " * 2500]) == 1
+    assert "5000 letters" in _assert_one_error_line(capsys)
+
+
 def test_tiny_polynomial_fails_without_a_warning(tmp_path, capsys):
     # kappa_F of a 1e-300-scaled L^z overflows; that is "not certified",
     # and the SVD route reports the rank deficiency as one stderr line
@@ -744,6 +778,20 @@ def test_replay_of_a_bad_manifest_exits_one(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert captured.out == ""
+    assert not (tmp_path / "r").exists()
+
+
+def test_replay_of_a_help_argv_exits_one(tmp_path, capsys):
+    # the help flag makes argparse print help and leave the nested run
+    text = _manifest(tmp_path, lambda m: m.update(argv=["free-moment", "-h"],
+                                                  outputs={"freemoment.json": "0" * 64}))
+    (tmp_path / "manifest.json").write_text(text)
+    capsys.readouterr()
+    code = dispatch(["replay", str(tmp_path / "manifest.json"), "-o", str(tmp_path / "r")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert " OK" not in captured.out
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert not (tmp_path / "r").exists()
 
 

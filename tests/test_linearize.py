@@ -14,7 +14,7 @@ from brownlab.linearize import (
     build_linearization,
     verify_schur,
 )
-from brownlab.ncpoly import NcPoly, evaluate, parse, quadratic_data
+from brownlab.ncpoly import NcPoly, evaluate, parse
 from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
 
 
@@ -30,6 +30,19 @@ def _random_degree2(rng, n):
         p = NcPoly(n, terms)
         if p.degree == 2:
             return p
+
+
+def _split(p):
+    """(A, b, gamma) with p = sum A[l,m] x_l x_m + sum b[l] x_l + gamma."""
+    n = p.num_vars
+    A = np.zeros((n, n), dtype=complex)
+    b = np.zeros(n, dtype=complex)
+    for word, coeff in p.terms.items():
+        if len(word) == 2:
+            A[word[0] - 1, word[1] - 1] = coeff
+        elif len(word) == 1:
+            b[word[0] - 1] = coeff
+    return A, b, p.terms.get((), 0j)
 
 
 def _disk(rng):
@@ -66,18 +79,19 @@ def test_build_anticommutator_structure():
 
 def test_build_reconstructs_quadratic_coefficients():
     rng = np.random.default_rng(0)
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         p = _random_degree2(rng, n)
         lin = build_linearization(p)
-        qd = quadratic_data(p)
+        A, b, gamma = _split(p)
         # A[l,m] = sum_k R[k-1,l] * conj(s_k[m]) by the SVD construction
-        A = sum(
+        recon = sum(
             np.outer(lin.rotation[k - 1], np.conj(lin.s[k]))
             for k in range(1, lin.rank + 1)
         )
-        assert np.allclose(A, qd.A, atol=1e-12)
+        assert np.allclose(recon, A, atol=1e-12)
         # s_0 is the conjugated linear part
-        assert np.allclose(lin.s[0], np.conj(qd.b))
+        assert np.allclose(lin.s[0], np.conj(b))
+        assert lin.gamma == gamma
 
 
 def test_build_square_of_one_variable():
@@ -96,28 +110,48 @@ def test_build_rank_one_product():
 
 
 @pytest.mark.parametrize("text, n, r", [
+    ("x1*x2+x2*x1", 2, 2),
     ("x1*x2+x2*x1+x3", 3, 2),
     ("x1*x2+x3*x4+x5", 5, 2),
     ("x1*x1+x2", 2, 1),
     ("x1*x2+0.5i*x2*x1+x3", 3, 2),  # complex A: conjugation would show
 ])
 def test_build_rank_deficient_rotation(text, n, r):
-    # r < n: rows r..n-1 complete the rotation to a unitary
+    # for r < n, rows r..n-1 complete the rotation to a unitary
     p = parse(text)
     lin = build_linearization(p)
     assert (lin.num_vars, lin.rank) == (n, r)
     R = lin.rotation
     assert np.abs(R @ R.conj().T - np.eye(n)).max() <= 1e-12
     # the first r rows are the unconjugated left singular vectors of A
-    A = quadratic_data(p).A
+    A = _split(p)[0]
     sigma = np.linalg.svd(A, compute_uv=False)
     for k in range(r):
         assert np.allclose(A @ A.conj().T @ R[k], sigma[k] ** 2 * R[k], atol=1e-12)
-    assert np.abs(A.conj().T @ R[r:].T).max() <= 1e-12
+    assert np.abs(A.conj().T @ R[r:].T).max(initial=0.0) <= 1e-12
     recon = sum(np.outer(R[k - 1], np.conj(lin.s[k])) for k in range(1, r + 1))
     assert np.abs(recon - A).max() <= 1e-12
     X = ginibre_tuple(n, 6, stream(12, STREAM_GINIBRE, 0))
     assert verify_schur(lin, X, 0.3 + 0.1j) <= 1e-8
+
+
+def test_build_runs_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    build_linearization(parse("x1*x2+0.5i*x2*x1+x3"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("weight, r", [(1e-9, 2), (1e-11, 1)])
+def test_build_rank_cutoff(weight, r):
+    # singular values at or below 1e-10 times the largest do not count
+    assert build_linearization(parse(f"x1*x1 + {weight}*x2*x2")).rank == r
 
 
 def test_build_rejects_wrong_degree():
@@ -140,11 +174,11 @@ def test_pencil_reads_back_quadratic_data(text, z):
     A, K = lin.pencil(z)
     n, d = lin.num_vars, lin.dim
     assert A.shape == (n, d, d) and K.shape == (d, d)
-    qd = quadratic_data(p)
-    assert np.array_equal(A[:, 0, 0], qd.b)
+    A_p, b, gamma = _split(p)
+    assert np.array_equal(A[:, 0, 0], b)
     quad = np.einsum("lk,mk->lm", A[:, 0, 1:], A[:, 1:, 0])
-    assert np.abs(quad - qd.A).max() <= 1e-12
-    assert np.isclose(K[0, 0] + z, qd.gamma, rtol=0, atol=1e-15)
+    assert np.abs(quad - A_p).max() <= 1e-12
+    assert np.isclose(K[0, 0] + z, gamma, rtol=0, atol=1e-15)
     assert np.array_equal(np.diag(K)[1:], -np.ones(d - 1))
     # no other entry is set: A_l is an arrow, K is diagonal
     assert not A[:, 1:, 1:].any()
@@ -180,9 +214,9 @@ def test_assemble_corner_block_oracle():
     X = ginibre_tuple(3, 4, stream(2, STREAM_GINIBRE, 0))
     z = 0.3 - 0.2j
     L = assemble_Lz(lin, X, z)
-    qd = quadratic_data(p)
+    _, b, gamma = _split(p)
     # direct block assembly oracle: (0,0) block is sum_l b_l X_l + (gamma-z) Id
-    Y0 = sum(qd.b[l] * X[l] for l in range(3)) + (qd.gamma - z) * np.eye(4)
+    Y0 = sum(b[l] * X[l] for l in range(3)) + (gamma - z) * np.eye(4)
     assert np.allclose(L[:4, :4], Y0, atol=1e-12)
     assert L.shape == ((lin.rank + 1) * 4,) * 2
 

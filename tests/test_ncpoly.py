@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brownlab.linearize import build_linearization
 from brownlab.ncpoly import (
     NcPoly,
     ParseError,
@@ -12,7 +13,6 @@ from brownlab.ncpoly import (
     free_moment,
     parse,
     parse_star_word,
-    quadratic_data,
     star_word_matrix,
 )
 
@@ -100,6 +100,13 @@ def test_parse_rejects_variable_zero():
         parse("x0 + x1")
 
 
+def test_parse_nesting_bound():
+    assert parse("(" * 100 + "x1" + ")" * 100) == parse("x1")
+    with pytest.raises(ParseError, match="nest deeper than 100") as err:
+        parse("(" * 101 + "x1" + ")" * 101)
+    assert err.value.offset == 100
+
+
 def test_parse_rejects_index_above_declared_n():
     with pytest.raises(ParseError, match="exceeds"):
         parse("x1*x3", num_vars=2)
@@ -108,34 +115,28 @@ def test_parse_rejects_index_above_declared_n():
 
 
 # ---------------------------------------------------------- quadratic data
+# The (A, b, gamma, rank) of a degree-2 polynomial are read back from its
+# linearization: b and gamma from the pencil's corner, A from the products
+# of its border blocks.
 
-def test_quadratic_anticommutator():
-    qd = quadratic_data(parse("x1*x2 + x2*x1"))
-    assert np.array_equal(qd.A, np.array([[0, 1], [1, 0]]))
-    assert np.all(qd.b == 0)
-    assert qd.gamma == 0
-    assert qd.rank == 2
-
-
-def test_quadratic_linear_poly():
-    qd = quadratic_data(parse("x1", num_vars=2))
-    assert np.all(qd.A == 0)
-    assert qd.rank == 0
-    assert np.array_equal(qd.b, np.array([1, 0]))
-    assert qd.gamma == 0
+def _quadratic_part(lin):
+    A, _ = lin.pencil(0)
+    return np.einsum("lk,mk->lm", A[:, 0, 1:], A[:, 1:, 0]), A[:, 0, 0]
 
 
 def test_quadratic_rank_one():
-    qd = quadratic_data(parse("x1*x2"))
-    assert np.array_equal(qd.A, np.array([[0, 1], [0, 0]]))
+    lin = build_linearization(parse("x1*x2"))
+    A, b = _quadratic_part(lin)
+    assert np.abs(A - np.array([[0, 1], [0, 0]])).max() <= 1e-12
+    assert np.all(b == 0)
     # oracle: rank by direct SVD of the 2x2 coefficient matrix
     sv = np.linalg.svd(np.array([[0.0, 1.0], [0.0, 0.0]]), compute_uv=False)
-    assert qd.rank == int(np.sum(sv > 1e-10 * sv[0])) == 1
+    assert lin.rank == int(np.sum(sv > 1e-10 * sv[0])) == 1
 
 
 def test_quadratic_rejects_degree_three():
     with pytest.raises(ValueError, match="degree"):
-        quadratic_data(parse("x1*x2*x1"))
+        build_linearization(parse("x1*x2*x1"))
 
 
 def test_quadratic_round_trip():
@@ -147,13 +148,13 @@ def test_quadratic_round_trip():
             terms[(l,)] = complex(*rng.normal(size=2))
             for m in range(1, n + 1):
                 terms[(l, m)] = complex(*rng.normal(size=2))
-        p = NcPoly(n, terms)
-        qd = quadratic_data(p)
-        assert qd.gamma == terms[()]
+        lin = build_linearization(NcPoly(n, terms))
+        A, b = _quadratic_part(lin)
+        assert lin.gamma == terms[()]
         for l in range(1, n + 1):
-            assert qd.b[l - 1] == terms[(l,)]
+            assert b[l - 1] == terms[(l,)]
             for m in range(1, n + 1):
-                assert qd.A[l - 1, m - 1] == terms[(l, m)]
+                assert abs(A[l - 1, m - 1] - terms[(l, m)]) <= 1e-12
 
 
 # ---------------------------------------------------------------- evaluate
@@ -280,6 +281,12 @@ def test_free_moment_catalan_on_alternating_words():
     for k in range(1, 6):
         letters = ((1, False), (1, True)) * k
         assert free_moment(StarWord(letters=letters)) == catalan[k]
+
+
+def test_free_moment_length_bound():
+    assert free_moment(StarWord(letters=((1, False), (1, True)) * 8)) == 1430
+    with pytest.raises(ValueError, match="514 letters exceeds 512"):
+        free_moment(StarWord(letters=((1, False), (1, True)) * 257))
 
 
 def test_parse_star_word_errors():
