@@ -20,20 +20,22 @@ non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
 work is done. Failure rule: a trial whose P = p(X) or L^z is non-finite,
 or whose LAPACK call fails, raises numpy's LinAlgError; that, a
 degenerate walk draw, a singular linearization factor, a failed Schur
-check and a MemoryError (an array too large to allocate) all exit 2,
-before any output file is written. An OSError while writing outputs is
+check and a MemoryError (an array too large to allocate) all exit 2.
+Since a body writes nothing and dispatch writes only once the body has
+returned, a run that exits 1 or 2 leaves no file, even when it fails
+while serializing its last output. An OSError while writing outputs is
 outside this contract.
 
 The subcommands form one table, COMMANDS. An entry holds the name, the
-help text, the argparse additions and a run(args, p, out) body. Given the
-parsed flags, the parsed polynomial (None without --poly) and the output
-directory, a body computes, writes its files into the directory and
-returns ({output name: path}, summary line). Bodies look up library
-functions through this module's globals when they run, so a function
-replaced on this module (a fault injected by a test, a tracing wrapper)
-is the one called. One runner, dispatch, owns the rest: the polynomial,
-the output directory, timing, the manifest and the mapping from
-exceptions to exit codes.
+help text, the argparse additions and a run(args, p) body. Given the
+parsed flags and the parsed polynomial (None without --poly), a body
+computes and returns ({file name: str or bytes}, summary line). Bodies
+look up library functions through this module's globals when they run,
+so a function replaced on this module (a fault injected by a test, a
+tracing wrapper) is the one called. One runner, dispatch, owns the rest:
+the polynomial, the output directory, timing, the mapping from
+exceptions to exit codes, and the writes. Every file, the manifest
+included, leaves through _save, which hashes the bytes it writes.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .linearize import (SchurMismatchError, SingularFactorError, assemble_Lz,
                         build_linearization, verify_schur)
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
 from .pseudospec import (
+    MIN_TAIL_TRIALS,
     GridSpec,
     pseudospectrum_area,
     smin_map_full,
@@ -63,7 +66,7 @@ from .pseudospec import (
     trial_matrix,
     trial_tuple,
 )
-from .rmtcore import esd, write_csv
+from .rmtcore import csv_text, esd
 from .walks import DegenerateDrawError, delta_report, det_tail_experiment, orthocomplement_basis
 
 __all__ = ["main", "dispatch"]
@@ -180,14 +183,28 @@ def parse_grid(text):
         raise CliError(f"unsatisfiable grid: {exc}") from exc
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+def _json_text(obj):
+    return json.dumps(obj, indent=1, sort_keys=True)
 
 
-def _write_manifest(outdir, command, argv, params, seed, t0, outputs):
-    manifest = {
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _save(out, files):
+    """Write {file name: str or bytes} into out; return {file name: sha256}.
+
+    Every text is encoded as UTF-8 before the first file is written, and
+    each digest is taken from the bytes written.
+    """
+    data = {name: f.encode("utf-8") if isinstance(f, str) else f for name, f in files.items()}
+    for name, b in data.items():
+        (out / name).write_bytes(b)
+    return {name: _sha256(b) for name, b in data.items()}
+
+
+def _write_manifest(out, command, argv, params, seed, t0, digests):
+    _save(out, {"manifest.json": _json_text({
         "command": command,
         "argv": list(argv),
         "params": params,
@@ -195,11 +212,8 @@ def _write_manifest(outdir, command, argv, params, seed, t0, outputs):
         "version": __version__,
         "duration_s": round(time.time() - t0, 6),
         "blas": blas_record(),
-        "outputs": {name: _sha256(path) for name, path in outputs.items()},
-    }
-    path = Path(outdir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8")
-    return path
+        "outputs": digests,
+    })})
 
 
 def _params(args):
@@ -223,97 +237,79 @@ def _poly(args):
         raise CliError(f"malformed polynomial: {exc}") from exc
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=1, sort_keys=True)
-
-
-def _save(out, texts):
-    """Write {file name: text} into out; return {file name: path}."""
-    paths = {name: out / name for name in texts}
-    for name, text in texts.items():
-        paths[name].write_text(text, encoding="utf-8")
-    return paths
-
-
 def _slope(est):
     return "undefined" if est.slope is None else f"{est.slope:.3f}"
 
 
 # ------------------------------------------------------------ command bodies
 
-def _spectrum(args, p, out):
+def _spectrum(args, p):
     lam = np.concatenate(parallel_map(
         lambda t: esd(trial_matrix(p, args.N, args.seed, t)),
         range(args.trials), threads=args.threads))
-    path = out / "spectrum.csv"
-    write_csv(path, {"re": lam.real, "im": lam.imag})
-    return {"spectrum.csv": path}, f"spectrum: {len(lam)} eigenvalues -> {path}"
+    return ({"spectrum.csv": csv_text({"re": lam.real, "im": lam.imag})},
+            f"spectrum: {len(lam)} eigenvalues -> {Path(args.out, 'spectrum.csv')}")
 
 
-def _linearize_check(args, p, out):
+def _linearize_check(args, p):
     lin = build_linearization(p)
     residual = verify_schur(lin, trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
     ok = residual <= args.tol
-    outputs = _save(out, {
+    return {
         "linearization.json": lin.to_json(),
         "check.json": _json_text({"residual": residual, "tol": args.tol, "ok": bool(ok),
                                   "rank": lin.rank, "z": [args.z.real, args.z.imag]}),
-    })
-    return outputs, f"linearize-check: residual={residual:.3e} tol={args.tol:g} ok={ok}"
+    }, f"linearize-check: residual={residual:.3e} tol={args.tol:g} ok={ok}"
 
 
-def _smin_map(args, p, out):
+def _smin_map(args, p):
     med, mean, mn = smin_map_full(p, args.N, args.grid, args.trials, args.seed,
                                   threads=args.threads)
-    path = out / "smin_map.csv"
-    med.to_csv(path, extras={"mean": mean.values, "min": mn.values})
-    return {"smin_map.csv": path}, f"smin-map: {args.grid.nx}x{args.grid.ny} grid -> {path}"
+    return ({"smin_map.csv": med.to_csv(extras={"mean": mean.values, "min": mn.values})},
+            f"smin-map: {args.grid.nx}x{args.grid.ny} grid -> {Path(args.out, 'smin_map.csv')}")
 
 
-def _tail(args, p, out):
+def _tail(args, p):
     est = tail_estimate(p, args.N, args.z, args.eps, args.trials, args.seed,
                         threads=args.threads)
-    outputs = _save(out, {"tail.json": est.to_json()})
-    return outputs, f"tail: slope={_slope(est)} -> {outputs['tail.json']}"
+    return ({"tail.json": est.to_json()},
+            f"tail: slope={_slope(est)} -> {Path(args.out, 'tail.json')}")
 
 
-def _area(args, p, out):
+def _area(args, p):
     area = pseudospectrum_area(p, args.N, args.eps, args.grid, args.trials, args.seed,
                                threads=args.threads)
-    outputs = _save(out, {"area.json": _json_text({
+    return {"area.json": _json_text({
         "eps": args.eps, "area": area, "omega": args.grid.to_dict(), "N": args.N,
         "trials": args.trials,
-    })})
-    return outputs, f"area: E Leb = {area:.6g} -> {outputs['area.json']}"
+    })}, f"area: E Leb = {area:.6g} -> {Path(args.out, 'area.json')}"
 
 
-def _brown(args, p, out):
+def _brown(args, p):
     # density.csv sits on the interior nodes, which must span a rectangle
     if min(args.grid.nx, args.grid.ny) < 4:
         raise CliError("brown needs a grid of at least 4 x 4 nodes")
     fld = log_potential(p, args.N, args.grid, args.trials, floor=args.floor,
                         seed=args.seed, threads=args.threads)
     est = brown_estimate(fld)
-    outputs = {"logpot.csv": out / "logpot.csv", "density.csv": out / "density.csv"}
-    fld.h_field().to_csv(outputs["logpot.csv"],
-                         extras={"truncated_fraction": fld.truncated_fraction})
-    est.density_field().to_csv(outputs["density.csv"])
-    outputs |= _save(out, {"brown.json": _json_text({
-        "N": args.N, "trials": args.trials, "floor": fld.floor,
-        "seed": args.seed, "total_mass": est.total_mass,
-        "truncated_fraction_summary": fld.truncation_summary(),
-    })})
-    return outputs, f"brown: total_mass={est.total_mass:.4f} -> {outputs['density.csv']}"
+    return {
+        "logpot.csv": fld.h_field().to_csv(extras={"truncated_fraction": fld.truncated_fraction}),
+        "density.csv": est.density_field().to_csv(),
+        "brown.json": _json_text({
+            "N": args.N, "trials": args.trials, "floor": fld.floor,
+            "seed": args.seed, "total_mass": est.total_mass,
+            "truncated_fraction_summary": fld.truncation_summary(),
+        }),
+    }, f"brown: total_mass={est.total_mass:.4f} -> {Path(args.out, 'density.csv')}"
 
 
-def _stieltjes(args, p, out):
+def _stieltjes(args, p):
     g = stieltjes(p, args.N, args.z, args.eta, args.trials, args.seed, threads=args.threads)
-    outputs = _save(out, {"stieltjes.json": _json_text({
+    return {"stieltjes.json": _json_text({
         "z": [args.z.real, args.z.imag], "N": args.N, "trials": args.trials,
         "values": [{"eta": float(e), "re": v.real, "im": v.imag}
                    for e, v in zip(args.eta, g)],
-    })})
-    return outputs, f"stieltjes: {len(args.eta)} rungs -> {outputs['stieltjes.json']}"
+    })}, f"stieltjes: {len(args.eta)} rungs -> {Path(args.out, 'stieltjes.json')}"
 
 
 def _walk_basis(args, p):
@@ -323,38 +319,34 @@ def _walk_basis(args, p):
     return lin, orthocomplement_basis(Lz, args.j, args.seed, lin.rank)
 
 
-def _walks_delta(args, p, out):
+def _walks_delta(args, p):
     lin, U = _walk_basis(args, p)
     threshold = args.threshold
     if threshold is None:
         threshold = float(args.N) ** (-lin.rank / 2 - 10)
     rep = delta_report(U, lin.s_matrix(), threshold)
-    outputs = _save(out, {"delta.json": rep.to_json()})
-    outputs |= {"walkbasis.bin": out / "walkbasis.bin", "walkbasis.json": out / "walkbasis.json"}
-    U.save(outputs["walkbasis.bin"], outputs["walkbasis.json"])
-    return outputs, (f"walks-delta: structured={rep.structured} "
-                     f"max1={rep.max_abs_delta1:.3e} max2={rep.max_abs_delta2:.3e} "
-                     f"-> {outputs['delta.json']}")
+    basis, header = U.dump()
+    return {"delta.json": rep.to_json(), "walkbasis.bin": basis, "walkbasis.json": header}, (
+        f"walks-delta: structured={rep.structured} "
+        f"max1={rep.max_abs_delta1:.3e} max2={rep.max_abs_delta2:.3e} "
+        f"-> {Path(args.out, 'delta.json')}")
 
 
-def _walks_dettail(args, p, out):
-    if args.trials < 100:
-        raise CliError("det tail experiments need trials >= 100")  # before the basis is drawn
+def _walks_dettail(args, p):
+    if args.trials < MIN_TAIL_TRIALS:  # before the basis is drawn
+        raise CliError(f"det tail experiments need trials >= {MIN_TAIL_TRIALS}")
     lin, U = _walk_basis(args, p)
     K = lin.pencil(args.z)[1]
     est = det_tail_experiment(U, lin.s_matrix(), U.blocks[args.j].conj().T @ K,
                               args.eps, args.trials, args.seed)
-    outputs = _save(out, {"dettail.json": est.to_json()})
-    return outputs, f"walks-dettail: slope={_slope(est)} -> {outputs['dettail.json']}"
+    return ({"dettail.json": est.to_json()},
+            f"walks-dettail: slope={_slope(est)} -> {Path(args.out, 'dettail.json')}")
 
 
-def _free_moment(args, p, out):
+def _free_moment(args, p):
     word = parse_star_word(args.word)
     value = free_moment(word)
-    outputs = {} if out is None else _save(out, {"freemoment.json": _json_text({
-        "word": str(word), "moment": value,
-    })})
-    return outputs, str(value)
+    return {"freemoment.json": _json_text({"word": str(word), "moment": value})}, str(value)
 
 
 # ------------------------------------------------------------ command table
@@ -418,7 +410,7 @@ COMMANDS = {cmd.name: cmd for cmd in (
                   help="structured threshold (default N^(-r/2-10))")),
             _walks_delta),
     Command("walks-dettail", "determinant small-ball experiment",
-            # an int: the body states the floor, trials >= 100, for 0 too
+            # an int: the body states the floor, MIN_TAIL_TRIALS, for 0 too
             (*_POLY, _Z, _EPS, _arg("--trials", type=int, default=1000), *_RUN, _J),
             _walks_dettail),
     Command("free-moment", "free moment of a star word",
@@ -464,7 +456,7 @@ def _replay(args):
     ok = True
     for name, digest in manifest["outputs"].items():
         path = Path(args.out) / name
-        match = path.is_file() and _sha256(path) == digest
+        match = path.is_file() and _sha256(path.read_bytes()) == digest
         ok = ok and match
         print(f"replay: {name} {'OK' if match else 'MISMATCH'}")
     return 0 if ok else 1
@@ -499,10 +491,10 @@ def dispatch(argv):
             except OSError as exc:
                 raise CliError(f"cannot create output directory: {exc}") from exc
         with _BLAS.one_thread():
-            outputs, summary = cmd.run(args, p, out)
-        if outputs:
+            files, summary = cmd.run(args, p)
+        if out is not None:
             _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", 0),
-                            t0, outputs)
+                            t0, _save(out, files))
         print(summary)
         return 0
     except _BACKEND_ERRORS as exc:

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._openblas import svdvals
 from .ncpoly import NcPoly, evaluate
+from .rmtcore import shifted_svals
 
 __all__ = [
     "Linearization",
@@ -169,18 +171,18 @@ def verify_schur(lin, X, z):
     weaker operator-norm domination ||(P-z)^{-1}|| <= ||(L^z)^{-1}|| must
     hold identically, since (P-z)^{-1} is a block of (L^z)^{-1}; it is
     read off the two smins, ||A^{-1}||_2 = 1/smin(A), and a violation
-    raises SchurMismatchError.
+    raises SchurMismatchError. smin(P - z) comes from
+    `rmtcore.shifted_svals`, and smin(L^z) from the same values-only SVD.
     """
     X = [np.asarray(M) for M in X]
     N = X[0].shape[0]
     P = evaluate(lin.source, X)
     Lz = assemble_Lz(lin, X, z)
-    Pz = P - z * np.eye(N)
 
-    smin_L = np.linalg.svd(Lz, compute_uv=False)[-1]
+    smin_L = svdvals(Lz)[-1]
     if smin_L < SMIN_GUARD:
         raise SingularFactorError("linearization L^z", smin_L)
-    smin_P = np.linalg.svd(Pz, compute_uv=False)[-1]
+    smin_P = shifted_svals(P, [z])[0, -1]
     if smin_P < SMIN_GUARD:
         raise SingularFactorError("shifted polynomial P - z", smin_P)
     op_L, op_P = 1 / smin_L, 1 / smin_P
@@ -190,5 +192,5 @@ def verify_schur(lin, X, z):
         )
 
     inv_L = np.linalg.inv(Lz)
-    inv_P = np.linalg.inv(Pz)
+    inv_P = np.linalg.inv(P - z * np.eye(N))
     return float(np.linalg.norm(inv_L[0:N, 0:N] - inv_P) / np.linalg.norm(inv_P))

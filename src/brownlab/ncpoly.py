@@ -295,9 +295,6 @@ class StarWord:
 
     letters: tuple
 
-    def __len__(self):
-        return len(self.letters)
-
     def __str__(self):
         return " ".join(f"c{i}{'*' if s else ''}" for i, s in self.letters) or "1"
 

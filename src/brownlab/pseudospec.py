@@ -24,7 +24,7 @@ import numpy as np
 
 from ._pool import parallel_map
 from .ncpoly import evaluate
-from .rmtcore import STREAM_GINIBRE, ginibre_tuple, shifted_svals, stream, write_csv
+from .rmtcore import STREAM_GINIBRE, csv_text, ginibre_tuple, shifted_svals, stream
 
 __all__ = [
     "GridSpec",
@@ -43,6 +43,9 @@ __all__ = [
 # Rungs with fewer hits than this are dropped from the slope regression;
 # their Wilson intervals are too wide to constrain a fit.
 MIN_HITS_FOR_SLOPE = 5
+
+# Fewest trials a small-ball tail is estimated from: smin tails here, det tails in walks.
+MIN_TAIL_TRIALS = 100
 
 # Two-sided 95% standard normal quantile of the Wilson intervals.
 WILSON_Z = 1.959963984540054
@@ -112,13 +115,13 @@ class GridField:
         if self.values.shape != (self.spec.nx, self.spec.ny):
             raise ValueError("values shape must match the grid")
 
-    def to_csv(self, path, extras=None):
-        """CSV rows 're,im,value' in row-major node order.
+    def to_csv(self, extras=None):
+        """CSV text, rows 're,im,value' in row-major node order.
 
         extras maps column name to an (nx, ny) array appended per row.
         """
         nodes = self.spec.nodes()
-        write_csv(path, {"re": nodes.real, "im": nodes.imag,
+        return csv_text({"re": nodes.real, "im": nodes.imag,
                          "value": self.values, **(extras or {})})
 
 
@@ -252,8 +255,8 @@ def smin_map_full(p, N, grid, trials, seed, threads=None):
 
 
 def _tail_from_trials(sample_fn, trials, eps_ladder, z, N, threads):
-    if trials < 100:
-        raise ValueError("tail estimates need trials >= 100")
+    if trials < MIN_TAIL_TRIALS:
+        raise ValueError(f"tail estimates need trials >= {MIN_TAIL_TRIALS}")
     samples = parallel_map(sample_fn, range(trials), threads)
     return TailEstimate.from_samples(np.array(samples), eps_ladder, z, N)
 

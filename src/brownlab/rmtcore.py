@@ -24,7 +24,7 @@ __all__ = [
     "haar_unitary",
     "esd",
     "shifted_svals",
-    "write_csv",
+    "csv_text",
 ]
 
 # Stream ids for the substream registry. Every operation that consumes
@@ -69,17 +69,15 @@ def haar_unitary(d, rng):
     return q * ph
 
 
-def write_csv(path, columns):
-    """CSV with a header row, then one row of '.17g' reals per index.
+def csv_text(columns):
+    """CSV text with a header row, then one row of '.17g' reals per index.
 
     columns maps header name to an array; the arrays are read in
     row-major order, and ValueError is raised unless their sizes agree.
     """
     names = ",".join(columns)
     rows = zip(*(np.asarray(c).ravel().tolist() for c in columns.values()), strict=True)
-    text = names + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    return names + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
 
 
 def esd(M):

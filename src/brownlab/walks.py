@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _openblas
-from .pseudospec import TailEstimate
+from .pseudospec import MIN_TAIL_TRIALS, TailEstimate
 from .rmtcore import STREAM_HAAR, STREAM_WALK, haar_unitary, stream
 
 __all__ = [
@@ -98,15 +98,13 @@ class WalkBasis:
         """v_i^k vectors as rows of an N x (r+1) array (conjugated rows)."""
         return np.conj(self.tall_block(k))
 
-    def save(self, bin_path, header_path):
-        """Column-major complex-pair dump plus a JSON header {N, r}."""
+    def dump(self):
+        """(column-major complex-pair bytes, JSON header {N, r}), as `load` reads them."""
         flat = self.U.flatten(order="F")
         out = np.empty(2 * flat.size)
         out[0::2] = flat.real
         out[1::2] = flat.imag
-        out.tofile(bin_path)
-        with open(header_path, "w", encoding="utf-8") as fh:
-            json.dump({"N": self.N, "r": self.r}, fh)
+        return out.tobytes(), json.dumps({"N": self.N, "r": self.r})
 
     @staticmethod
     def load(bin_path, header_path):
@@ -350,8 +348,8 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     nN-dimensional walk. A scalar shift c stands for c times the
     (r+1) x (r+1) identity.
     """
-    if trials < 100:
-        raise ValueError("det tail experiments need trials >= 100")
+    if trials < MIN_TAIL_TRIALS:
+        raise ValueError(f"det tail experiments need trials >= {MIN_TAIL_TRIALS}")
     r, N = U.r, U.N
     d = r + 1
     shift = shift * np.eye(d) if np.ndim(shift) == 0 else np.asarray(shift)

@@ -275,6 +275,28 @@ def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_memory(*a, **k):
+    raise MemoryError("Unable to allocate 149 PiB for an array")
+
+
+@pytest.mark.parametrize("cls, method, argv", [
+    # the second output each command serializes, after the first is ready
+    ("BrownEstimate", "density_field",
+     ["brown", "--poly", "x1*x2+x2*x1", "--N", "8", "--grid", "-1,1,-1,1,5,5"]),
+    ("WalkBasis", "dump", ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8"]),
+], ids=["brown", "walks-delta"])
+def test_memory_error_while_serializing_leaves_no_file(cls, method, argv, tmp_path, capsys,
+                                                       monkeypatch):
+    import brownlab
+
+    monkeypatch.setattr(getattr(brownlab, cls), method, _no_memory)
+    code = dispatch([*argv, "-o", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "numerical backend failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # Constructor arguments of every numerical-failure class brownlab defines.
 _FAILURE_ARGS = {
     "DegenerateDrawError": ("forced degenerate draw",),
@@ -496,6 +518,22 @@ def test_linearize_check_reports_ok(tmp_path, capsys):
     data = json.loads((tmp_path / "check.json").read_text())
     assert data["ok"] is True
     assert data["residual"] <= 1e-9
+
+
+def test_linearize_check_runs_one_full_svd(tmp_path, capsys, monkeypatch):
+    # the linearization's SVD of A; both smins are values-only SVDs
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code = dispatch(["linearize-check", "--poly", "x1*x2+x2*x1", "--N", "20",
+                     "-o", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_tail_deterministic_outputs(tmp_path, capsys):

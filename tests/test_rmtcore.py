@@ -11,7 +11,7 @@ from brownlab.rmtcore import (
     haar_unitary,
     shifted_svals,
     stream,
-    write_csv,
+    csv_text,
 )
 
 
@@ -160,7 +160,7 @@ def test_singular_values_stack_matches_loop():
 # ---------------------------------------------------------- serialization
 
 def _spectrum_csv_round_trip(lam, path):
-    write_csv(path, {"re": lam.real, "im": lam.imag})
+    path.write_text(csv_text({"re": lam.real, "im": lam.imag}))
     assert path.read_text().splitlines()[0] == "re,im"
     back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return back[:, 0] + 1j * back[:, 1]

@@ -223,9 +223,15 @@ def test_blocks_tile_the_basis():
             assert np.array_equal(blocks[i][k], U.U[k * 8 + i])
 
 
+def _write_dump(U, bin_path, header_path):
+    basis, header = U.dump()
+    bin_path.write_bytes(basis)
+    header_path.write_text(header)
+
+
 def test_walkbasis_io_round_trip(tmp_path):
     _, _, _, U = _anti_setup(6)
-    U.save(tmp_path / "u.bin", tmp_path / "u.json")
+    _write_dump(U, tmp_path / "u.bin", tmp_path / "u.json")
     back = WalkBasis.load(tmp_path / "u.bin", tmp_path / "u.json")
     assert back.N == U.N and back.r == U.r
     assert np.array_equal(back.U, U.U)
@@ -238,7 +244,7 @@ def test_walkbasis_io_round_trip_property(N, r, seed):
     Q, _ = np.linalg.qr(rng.normal(size=(d * N, d)) + 1j * rng.normal(size=(d * N, d)))
     U = WalkBasis(N=N, r=r, U=Q)
     with tempfile.TemporaryDirectory() as tmp:
-        U.save(Path(tmp) / "u.bin", Path(tmp) / "u.json")
+        _write_dump(U, Path(tmp) / "u.bin", Path(tmp) / "u.json")
         back = WalkBasis.load(Path(tmp) / "u.bin", Path(tmp) / "u.json")
     assert (back.N, back.r) == (N, r)
     assert np.array_equal(back.U, U.U)
