@@ -54,8 +54,8 @@ import numpy as np
 from . import __version__
 from ._pool import _BLAS, blas_record, parallel_map
 from .brown import brown_estimate, log_potential, stieltjes
-from .linearize import (SchurMismatchError, SingularFactorError, assemble_Lz,
-                        build_linearization, verify_schur)
+from .linearize import (SchurMismatchError, SingularFactorError, build_linearization,
+                        verify_schur)
 from .ncpoly import ParseError, free_moment, parse, parse_star_word
 from .pseudospec import (
     MIN_TAIL_TRIALS,
@@ -315,8 +315,8 @@ def _stieltjes(args, p):
 def _walk_basis(args, p):
     """The linearization of p and the basis U for block column j of L^z."""
     lin = build_linearization(p)
-    Lz = assemble_Lz(lin, trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
-    return lin, orthocomplement_basis(Lz, args.j, args.seed, lin.rank)
+    blocks = lin.blocks(trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
+    return lin, orthocomplement_basis(blocks, args.j, args.seed)
 
 
 def _walks_delta(args, p):

@@ -11,7 +11,10 @@ remaining rows, turns the top row into the rotated inputs themselves,
 which is the block form assembled here. Written as a pencil,
 L^z = K^z (x) Id + sum_l A_l (x) X_l with (r+1) x (r+1) coefficients A_l
 and K^z = diag(gamma - z, -Id_r). The Schur complement of the lower-right
--Id block then gives (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
+-Id block is p(X) - z, so (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
+Only 2r+1 of the (r+1)^2 N x N blocks of L^z are not -delta Id:
+`Linearization.blocks` returns those (`LzBlocks`), and `assemble_Lz`
+writes them into the dense matrix.
 
 The SVD gauge (phases, ordering of degenerate singular directions) is not
 fixed; every downstream contract in this package is gauge invariant.
@@ -30,6 +33,7 @@ from .rmtcore import shifted_svals
 
 __all__ = [
     "Linearization",
+    "LzBlocks",
     "SingularFactorError",
     "build_linearization",
     "assemble_Lz",
@@ -89,6 +93,38 @@ class Linearization:
         K[0, 0] = self.gamma - z
         return A, K
 
+    def blocks(self, X, z):
+        """The 2r+1 nonzero N x N blocks of L^z, read from pencil(z).
+
+        Block (a, b) of L^z is sum_l A_l[a, b] X_l + K[a, b] Id, summed in
+        the order of l. X needs at least num_vars square matrices of equal
+        size; any beyond those are ignored.
+        """
+        X = [np.asarray(M) for M in X]
+        n = self.num_vars
+        if len(X) < n:
+            raise ValueError(f"need {n} matrices, got {len(X)}")
+        N = X[0].shape[0]
+        for M in X[:n]:
+            if M.shape != (N, N):
+                raise ValueError("all matrices must be square of equal size")
+        A, K = self.pencil(z)
+
+        def block(a, b, out):
+            np.multiply(A[0, a, b], X[0], out=out)
+            for A_l, X_l in zip(A[1:n], X[1:n]):
+                out += A_l[a, b] * X_l
+            return out
+
+        B00 = block(0, 0, np.empty((N, N), dtype=complex))
+        B00.flat[::N + 1] += K[0, 0]
+        Y = np.empty((self.rank, N, N), dtype=complex)
+        C = np.empty((self.rank, N, N), dtype=complex)
+        for k in range(1, self.dim):
+            block(0, k, Y[k - 1])
+            block(k, 0, C[k - 1])
+        return LzBlocks(B00=B00, Y=Y, C=C)
+
     def s_matrix(self):
         """The s-vectors in the rotated frame of assemble_Lz, as (r+1) x n."""
         return np.stack([self.rotation @ sk for sk in self.s])
@@ -102,6 +138,53 @@ class Linearization:
                 "gamma": [self.gamma.real, self.gamma.imag],
             }
         )
+
+
+@dataclass(frozen=True)
+class LzBlocks:
+    """The nonzero N x N blocks of L^z: B00, Y_k = block (0, k) and C_k = block (k, 0).
+
+    Y and C have shape (r, N, N), Y[k-1] being Y_k; every other block of
+    L^z is -delta Id. The Schur complement of the -Id block is
+    S = B00 + sum_k Y_k C_k, which is exactly P - z, and
+    (L^z)^{-1} = [[S^{-1}, S^{-1} B01], [B10 S^{-1}, -Id + B10 S^{-1} B01]]
+    with B01 = (Y_1 .. Y_r) and B10 = (C_1; ..; C_r).
+    """
+
+    B00: np.ndarray
+    Y: np.ndarray
+    C: np.ndarray
+
+    @property
+    def N(self):
+        return self.B00.shape[0]
+
+    @property
+    def r(self):
+        return self.Y.shape[0]
+
+    def schur(self):
+        """S = B00 + sum_k Y_k C_k, the N x N Schur factor P - z."""
+        S = self.B00.copy()
+        for Y_k, C_k in zip(self.Y, self.C):
+            S += Y_k @ C_k
+        return S
+
+    def frobenius(self):
+        """||L^z||_F, summed over the blocks; the r blocks -Id add rN."""
+        sq = sum(np.vdot(M, M).real for M in (self.B00, self.Y, self.C))
+        return float(np.sqrt(sq + self.r * self.N))
+
+    def dense(self):
+        """L^z as one (r+1)N-square array, each block written in place."""
+        N, d = self.N, self.r + 1
+        L = np.zeros((d * N, d * N), dtype=complex)
+        L[:N, :N] = self.B00
+        for k in range(1, d):
+            L[:N, k * N:(k + 1) * N] = self.Y[k - 1]
+            L[k * N:(k + 1) * N, :N] = self.C[k - 1]
+            np.fill_diagonal(L[k * N:(k + 1) * N, k * N:(k + 1) * N], -1.0)
+        return L
 
 
 def _cvec(v):
@@ -140,22 +223,8 @@ def build_linearization(p):
 
 
 def assemble_Lz(lin, X, z):
-    """Assemble L^z from raw inputs as sum_l kron(A_l, X_l) + kron(K^z, Id).
-
-    The pencil (A, K^z) of lin.pencil carries the block layout, the
-    rotation included; X needs at least lin.num_vars square matrices of
-    equal size, and any beyond those are ignored.
-    """
-    X = [np.asarray(M) for M in X]
-    n = lin.num_vars
-    if len(X) < n:
-        raise ValueError(f"need {n} matrices, got {len(X)}")
-    N = X[0].shape[0]
-    for M in X[:n]:
-        if M.shape != (N, N):
-            raise ValueError("all matrices must be square of equal size")
-    A, K = lin.pencil(z)
-    return sum(np.kron(A_l, X_l) for A_l, X_l in zip(A, X)) + np.kron(K, np.eye(N))
+    """L^z from raw inputs: lin.blocks(X, z) written into one (r+1)N-square array."""
+    return lin.blocks(X, z).dense()
 
 
 # Invertibility guard for both factors entering the resolvent identity.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -321,10 +320,9 @@ def _pairable(a, b):
     return a[0] == b[0] and a[1] != b[1]
 
 
-# Longest star word free_moment accepts. The interval recursion nests one
-# cached call, two Python frames, per pair of letters, so this keeps inside
-# the interpreter's recursion limit; the alternating word of 900 letters
-# already takes about 40 s.
+# Longest star word free_moment accepts. The interval table costs O(k^3)
+# big-integer products: the alternating word of 512 letters takes about
+# 1 s, and the cost grows eightfold with each doubling.
 MAX_WORD_LETTERS = 512
 
 
@@ -332,32 +330,30 @@ def free_moment(w):
     """Count non-crossing pairings with equal indices and opposite markers.
 
     This is the mixed moment of free circular elements on the StarWord w.
-    Non-crossing structure lets intervals be counted independently, so the
-    recursion is over intervals with memoization; exact integers for words
-    of at most MAX_WORD_LETTERS (512) letters, and a ValueError for a
-    longer one.
+    Non-crossing structure lets intervals be counted independently: the
+    first letter of an interval pairs with some later letter m, splitting
+    it into the interval inside the pair and the one after it. A table
+    over the intervals, filled by increasing even length, gives exact
+    integers for words of at most MAX_WORD_LETTERS (512) letters, and a
+    ValueError for a longer one.
     """
     letters = w.letters
     k = len(letters)
     if k > MAX_WORD_LETTERS:
         raise ValueError(f"star word of {k} letters exceeds {MAX_WORD_LETTERS}")
-    if k == 0:
-        return 1
     if k % 2 == 1:
         return 0
-
-    @lru_cache(maxsize=None)
-    def count(i, j):
-        # number of admissible non-crossing pairings of letters[i:j]
-        if i >= j:
-            return 1
-        total = 0
-        for m in range(i + 1, j, 2):
-            if _pairable(letters[i], letters[m]):
-                total += count(i + 1, m) * count(m + 1, j)
-        return total
-
-    return count(0, k)
+    # count[i][j]: admissible non-crossing pairings of letters[i:j]; an
+    # empty interval has one, and odd intervals are never read
+    count = [[1] * (k + 1) for _ in range(k + 1)]
+    partners = [[m for m in range(i + 1, k, 2) if _pairable(letters[i], letters[m])]
+                for i in range(k)]
+    for length in range(2, k + 1, 2):
+        for i in range(k - length + 1):
+            j = i + length
+            inner = count[i + 1]
+            count[i][j] = sum(inner[m] * count[m + 1][j] for m in partners[i] if m < j)
+    return count[0][k]
 
 
 def star_word_matrix(w, X):

@@ -8,15 +8,18 @@ basis matrix U, partitioned into N square blocks U_i, and the projected
 column is the matrix random walk sum_i U_i^* L_i.
 
 The basis is read off (L^z)^{-1}: its rows for block column j annihilate
-every other column of L^z. The inverse is computed in one LU workspace,
-a copy of L^z that LAPACK's zgetrf and zgetri overwrite with the LU
-factors and then with the inverse (`_openblas.inv`). That route is taken
-only when it is proven safe. The retained columns M = L^z S satisfy
-smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F), and that bound must
-clear the null-space cutoff 1e-12 by a factor 1e3; the basis must also
-annihilate M to 1e-10 ||L^z||_F. Any other draw takes a full SVD of M,
-which alone decides whether the draw is degenerate. An L^z with a
-non-finite entry is refused with LinAlgError before either route runs.
+every other column of L^z. L^z is given by its 2r+1 nonzero N x N blocks
+(`linearize.LzBlocks`), and those rows come from the N x N Schur factor
+S = P - z alone: one LU inverse of S (`_openblas.inv`), then the blocks
+of the inverse, one N x N product at a time. Neither L^z nor its
+inverse, both (r+1)N square, is formed. That route is taken only when it
+is proven safe. The retained columns M = L^z S satisfy
+smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F), with both norms summed
+exactly over the blocks, and that bound must clear the null-space cutoff
+1e-12 by a factor 1e3; the basis must also annihilate M to
+1e-10 ||L^z||_F. Any other draw assembles L^z and takes a full SVD of M,
+which alone decides whether the draw is degenerate. Blocks with a
+non-finite entry are refused with LinAlgError before either route runs.
 
 Anti-concentration of det(walk) is governed by the determinant
 coefficients Delta built from the rows of the blocks, by the structured
@@ -117,71 +120,114 @@ class WalkBasis:
         return WalkBasis(N=N, r=r, U=U)
 
 
-def orthocomplement_basis(Lz, j, seed, r):
-    """Orthonormal basis of the orthocomplement of all block columns but j,
-    right-twisted by a Haar unitary drawn from (seed, j).
+def orthocomplement_basis(blocks, j, seed):
+    """Orthonormal basis of the orthocomplement of all block columns but j
+    of L^z, given by its `linearize.LzBlocks`, right-twisted by a Haar
+    unitary drawn from (seed, j).
 
-    The basis comes from the block-row j of (L^z)^{-1} when a bound
+    The basis comes from the block-row j of (L^z)^{-1}, which the N x N
+    Schur factor S = P - z gives without forming L^z, when a bound
     proves the retained columns well conditioned and the result is
     checked to annihilate them; any other draw takes the exact route, a
-    full SVD of the retained columns. Raises DegenerateDrawError when
-    the retained columns are rank deficient (relative smin below 1e-12),
-    since then the complement has excess dimension and the draw is
-    ill-posed; no draw the bound certifies can be. An L^z with a
-    non-finite entry raises LinAlgError before anything is decomposed,
-    as a non-finite trial matrix does.
+    full SVD of the retained columns of the assembled L^z. Raises
+    DegenerateDrawError when the retained columns are rank deficient
+    (relative smin below 1e-12), since then the complement has excess
+    dimension and the draw is ill-posed; no draw the bound certifies can
+    be. Blocks with a non-finite entry raise LinAlgError before anything
+    is decomposed, as a non-finite trial matrix does.
     """
+    N, r = blocks.N, blocks.r
     d = r + 1
-    N = Lz.shape[0] // d
-    if Lz.shape != (d * N, d * N):
-        raise ValueError("Lz must be square with (r+1)N rows")
     if not 0 <= j < N:
         raise ValueError(f"block column index {j} outside [0, {N})")
-    if not np.isfinite(Lz).all():
+    if not all(np.isfinite(M).all() for M in (blocks.B00, blocks.Y, blocks.C)):
         raise np.linalg.LinAlgError("L^z has non-finite entries")
     H = haar_unitary(d, stream(seed, STREAM_HAAR, j))
     if N == 1:
         return WalkBasis(N=N, r=r, U=H)
-    null_basis = _certified_complement(Lz, [k * N + j for k in range(d)])
+    null_basis = _certified_complement(blocks, j)
     if null_basis is None:
-        null_basis = _svd_complement(Lz, j, N, d)
+        null_basis = _svd_complement(blocks, j)
     return WalkBasis(N=N, r=r, U=null_basis @ H)
 
 
-def _certified_complement(Lz, rows):
-    """Orthonormal complement from the `rows` of (L^z)^{-1}, or None when
-    no bound proves it.
+def _inverse_rows(blocks, j):
+    """Rows kN + j (k = 0..r) of (L^z)^{-1} as an (r+1) x (r+1)N array, and
+    ||(L^z)^{-1}||_F.
 
-    The inverse is `_openblas.inv`'s: one LU workspace, a copy of L^z that
-    becomes the inverse in place, so the route holds L^z, that copy and an
-    n x nb LAPACK workspace. (L^z)^{-1} L^z = I, so the conjugates of
-    those rows annihilate every other column of L^z; a reduced QR
-    orthonormalizes them. The retained columns are M = L^z S for a column
-    selection S, so smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F);
-    that bound must clear NULLSPACE_RTOL by _CERT_MARGIN, and the basis
-    must annihilate the retained columns to _CERT_RESID ||L^z||_F.
+    With T_0 = S^{-1} and T_a = C_a S^{-1}, block (a, 0) of the inverse is
+    T_a and block (a, b) is T_a Y_b, minus Id when a = b (`LzBlocks`). Each
+    block is formed once, from the one LU inverse of S (`_openblas.inv`);
+    its row j goes to the rows and its squared norm to the sum, so the
+    norm is exact, not a bound. A singular S raises LinAlgError.
+    """
+    S_inv = _openblas.inv(blocks.schur())
+    N, d = blocks.N, blocks.r + 1
+    rows = np.empty((d, d * N), dtype=complex)
+    inv_sq = 0.0
+    for a in range(d):
+        left = S_inv if a == 0 else blocks.C[a - 1] @ S_inv
+        for b in range(d):
+            block = left if b == 0 else left @ blocks.Y[b - 1]
+            if a == b > 0:
+                block.flat[::N + 1] -= 1.0
+            inv_sq += np.vdot(block, block).real
+            rows[a, b * N:(b + 1) * N] = block[j]
+    return rows, np.sqrt(inv_sq)
+
+
+def _annihilation_residual(blocks, Q, j):
+    """||Q^H M||_F for the retained columns M of L^z, one block column at a time.
+
+    Block column 0 of Q^H L^z is Q_0^H B00 + sum_k Q_k^H C_k and block
+    column k is Q_0^H Y_k - Q_k^H, Q_a being the a-th N-row slab of Q;
+    column j of each is a kept column and is left out.
+    """
+    N = blocks.N
+    Qh = [Q[a * N:(a + 1) * N].conj().T for a in range(blocks.r + 1)]
+    cols = [Qh[0] @ blocks.B00 + sum(Qh[k + 1] @ C_k for k, C_k in enumerate(blocks.C))]
+    cols += [Qh[0] @ Y_k - Qh[k + 1] for k, Y_k in enumerate(blocks.Y)]
+    sq = 0.0
+    for col in cols:
+        col[:, j] = 0.0
+        sq += np.vdot(col, col).real
+    return np.sqrt(sq)
+
+
+def _certified_complement(blocks, j):
+    """Orthonormal complement from the rows kN + j of (L^z)^{-1}, or None
+    when no bound proves it.
+
+    (L^z)^{-1} L^z = I, so the conjugates of those rows annihilate every
+    other column of L^z; a reduced QR orthonormalizes them. The rows and the
+    norm of the inverse come from `_inverse_rows`, so the route holds the
+    blocks and a few N x N arrays, never an (r+1)N-square one. The
+    retained columns are M = L^z S for a column selection S, so
+    smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F); that bound must
+    clear NULLSPACE_RTOL by _CERT_MARGIN, and the basis must annihilate
+    the retained columns to _CERT_RESID ||L^z||_F.
     """
     try:
-        inv = _openblas.inv(Lz)
+        rows, inv_norm = _inverse_rows(blocks, j)
     except np.linalg.LinAlgError:
         return None
-    norm = np.linalg.norm(Lz)
+    norm = blocks.frobenius()
     with np.errstate(over="ignore"):  # an infinite kappa is not certified
-        kappa = norm * np.linalg.norm(inv)
+        kappa = norm * inv_norm
     if not np.isfinite(kappa) or kappa * NULLSPACE_RTOL * _CERT_MARGIN > 1.0:
         return None
-    Q = np.linalg.qr(inv[rows].conj().T)[0]
-    resid = Q.conj().T @ Lz
-    resid[:, rows] = 0.0
-    if not np.linalg.norm(resid) <= _CERT_RESID * norm:
+    Q = np.linalg.qr(rows.conj().T)[0]
+    if not _annihilation_residual(blocks, Q, j) <= _CERT_RESID * norm:
         return None
     return Q
 
 
-def _svd_complement(Lz, j, N, d):
-    """The exact route: trailing left singular vectors of the retained columns."""
+def _svd_complement(blocks, j):
+    """The exact route: trailing left singular vectors of the retained
+    columns of the assembled L^z."""
+    N, d = blocks.N, blocks.r + 1
     keep = [k * N + jj for k in range(d) for jj in range(N) if jj != j]
-    M = Lz[:, keep]
+    M = blocks.dense()[:, keep]
     Ufull, sv, _ = np.linalg.svd(M)
     if sv[-1] <= NULLSPACE_RTOL * sv[0]:
         raise DegenerateDrawError(
@@ -327,9 +373,15 @@ def _walk_draws(U, s_vectors, trials, seed):
     """vec(W) of `trials` Gaussian walks, as a ((r+1)^2, trials) array."""
     R = np.linalg.qr(walk_matrix(U, s_vectors), mode="r")  # (k, (r+1)^2)
     rng = stream(seed, STREAM_WALK)
-    g = rng.standard_normal((R.shape[0], trials))
-    h = rng.standard_normal((R.shape[0], trials))
-    return R.conj().T @ (g + 1j * h) / np.sqrt(2.0 * U.N)
+    # xi = g + i h, with g and then h drawn into one reused buffer
+    xi = np.empty((R.shape[0], trials), dtype=complex)
+    buf = np.empty((R.shape[0], trials))
+    xi.real = rng.standard_normal(out=buf)
+    xi.imag = rng.standard_normal(out=buf)
+    del buf
+    vecs = R.conj().T @ xi
+    vecs /= np.sqrt(2.0 * U.N)
+    return vecs
 
 
 def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
@@ -356,6 +408,7 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     if shift.shape != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
     vecs = _walk_draws(U, s_vectors, trials, seed)
-    W = vecs.T.reshape(trials, d, d).transpose(0, 2, 1) + shift[None, :, :]
+    W = vecs.T.reshape(trials, d, d).transpose(0, 2, 1)  # a view of vecs
+    W += shift
     dets = np.abs(np.linalg.det(W))
     return TailEstimate.from_samples(dets, eps_ladder, z=None, N=N)

@@ -683,6 +683,26 @@ def test_walks_dettail_command(tmp_path, capsys):
     assert est["trials"] == 500
 
 
+def test_walks_dettail_full_size_memory(tmp_path):
+    # walks-scan's det-tail draw (N = 200, 20 000 trials): the inputs, the
+    # 2r+1 blocks of L^z and the (r+1)^2 x trials walk are the largest
+    # arrays, about 6 MB at the peak, while L^z alone would be 5.8 MB. A
+    # tiny run first fills the one-time caches
+    import tracemalloc
+
+    common = ["walks-dettail", "--poly", "x1*x2+x2*x1+x3", "--n", "3", "--z", "0.3",
+              "--eps", "1e-6:1e-1:log10", "--seed", "1"]
+    assert dispatch(common + ["--N", "6", "--trials", "100", "-o", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = dispatch(common + ["--N", "200", "--trials", "20000", "-o", str(tmp_path / "full")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 7e6
+
+
 @pytest.mark.parametrize("trials", ["99", "0"])
 def test_walks_dettail_rejects_few_trials_before_the_basis(trials, tmp_path, capsys,
                                                           monkeypatch):

@@ -161,13 +161,16 @@ def test_build_rejects_wrong_degree():
         build_linearization(parse("x1*x2*x1"))
 
 
-@pytest.mark.parametrize("text, z", [
+_PENCIL_CASES = [
     ("x1*x2 + x2*x1", 1.0),
     ("x1*x2+x2*x1+x3", 0.3 - 0.2j),
     ("x1*x2+0.5i*x2*x1+x3", 2j),
     ("x1*x1+x2 - 0.7", -0.4 + 0.1j),
     ("x1*x2 - 0.3*x2*x3 + 0.1*x3*x1 + 0.2i*x2 + 1.5", 0.5j),
-])
+]
+
+
+@pytest.mark.parametrize("text, z", _PENCIL_CASES)
 def test_pencil_reads_back_quadratic_data(text, z):
     p = parse(text)
     lin = build_linearization(p)
@@ -247,6 +250,19 @@ def test_assemble_equals_block_reference(p, N, trial, z):
     lin = build_linearization(p)
     X = ginibre_tuple(p.num_vars, N, stream(10, STREAM_GINIBRE, trial))
     assert np.array_equal(assemble_Lz(lin, X, z), _reference_Lz(lin, X, z))
+
+
+@pytest.mark.parametrize("text, z", _PENCIL_CASES)
+@pytest.mark.parametrize("N", [1, 6, 30])
+def test_schur_factor_is_P_minus_z(text, z, N):
+    # the linearization trick: the Schur complement S = B00 + sum_k Y_k C_k
+    # of the -Id block of L^z is p(X) - z, so the blocks are read right
+    p = parse(text)
+    lin = build_linearization(p)
+    X = ginibre_tuple(p.num_vars, N, stream(23, STREAM_GINIBRE, 0))
+    ref = evaluate(p, X) - z * np.eye(N)
+    S = lin.blocks(X, z).schur()
+    assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_assemble_dimension_errors():

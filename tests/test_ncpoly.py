@@ -1,3 +1,6 @@
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -283,8 +286,29 @@ def test_free_moment_catalan_on_alternating_words():
         assert free_moment(StarWord(letters=letters)) == catalan[k]
 
 
+def _recursive_moment(letters):
+    """The interval recursion, memoized top-down: the reference for the table."""
+
+    @lru_cache(maxsize=None)
+    def count(i, j):
+        if i >= j:
+            return 1
+        return sum(count(i + 1, m) * count(m + 1, j) for m in range(i + 1, j, 2)
+                   if letters[i][0] == letters[m][0] and letters[i][1] != letters[m][1])
+
+    return count(0, len(letters)) if len(letters) % 2 == 0 else 0
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.booleans()), max_size=40))
+def test_free_moment_equals_the_interval_recursion(letters):
+    letters = tuple(letters)
+    assert free_moment(StarWord(letters=letters)) == _recursive_moment(letters)
+
+
 def test_free_moment_length_bound():
     assert free_moment(StarWord(letters=((1, False), (1, True)) * 8)) == 1430
+    # the longest word accepted: (c1 c1*)^256 has moment Catalan(256)
+    assert free_moment(StarWord(letters=((1, False), (1, True)) * 256)) == comb(512, 256) // 257
     with pytest.raises(ValueError, match="514 letters exceeds 512"):
         free_moment(StarWord(letters=((1, False), (1, True)) * 257))
 

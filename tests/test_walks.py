@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brownlab import walks
-from brownlab.linearize import assemble_Lz, build_linearization
-from brownlab.ncpoly import parse
+from brownlab import linearize, walks
+from brownlab.linearize import LzBlocks, assemble_Lz, build_linearization
+from brownlab.ncpoly import NcPoly, evaluate, parse
 from brownlab.pseudospec import TailEstimate, trial_tuple
 from brownlab.rmtcore import (
     STREAM_GINIBRE,
@@ -36,7 +36,7 @@ def _anti_setup(N, z=0.0, seed=5, draw_seed=9, j=0):
     lin = build_linearization(ANTI)
     X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
     Lz = assemble_Lz(lin, X, z)
-    U = orthocomplement_basis(Lz, j, draw_seed, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, z), j, draw_seed)
     return lin, X, Lz, U
 
 
@@ -57,10 +57,10 @@ def test_orthocomplement_annihilates_retained_columns():
 
 
 def test_orthocomplement_orthonormal_and_deterministic():
-    _, _, Lz, U = _anti_setup(10)
+    lin, X, _, U = _anti_setup(10)
     gram = U.U.conj().T @ U.U
     assert np.abs(gram - np.eye(3)).max() <= 1e-10
-    U2 = orthocomplement_basis(Lz, 0, 9, 2)
+    U2 = orthocomplement_basis(lin.blocks(X, 0.0), 0, 9)
     assert np.array_equal(U.U, U2.U)
 
 
@@ -68,8 +68,7 @@ def test_orthocomplement_single_block_case_is_haar():
     # N = 1: no retained columns, the basis is a bare Haar unitary
     lin = build_linearization(ANTI)
     X = ginibre_tuple(2, 1, stream(1, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, 0.0)
-    U = orthocomplement_basis(Lz, 0, 7, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 7)
     assert U.U.shape == (3, 3)
     assert np.abs(U.U @ U.U.conj().T - np.eye(3)).max() <= 1e-10
 
@@ -79,9 +78,8 @@ def test_orthocomplement_degenerate_draw_reported():
     # the retained columns are rank deficient
     lin = build_linearization(ANTI)
     Z = np.zeros((4, 4))
-    L0 = assemble_Lz(lin, [Z, Z], 0.0)
     with pytest.raises(DegenerateDrawError):
-        orthocomplement_basis(L0, 0, 1, lin.rank)
+        orthocomplement_basis(lin.blocks([Z, Z], 0.0), 0, 1)
 
 
 # -------------------------------------------------- certified basis route
@@ -109,33 +107,50 @@ def test_certified_basis_spans_the_svd_complement(text, n, N, last, monkeypatch)
     lin = build_linearization(parse(text, num_vars=n))
     j = N - 1 if last else 0
     for seed in (1, 2, 3):
-        Lz = assemble_Lz(lin, ginibre_tuple(n, N, stream(seed, STREAM_GINIBRE, 0)), 0.3 - 0.2j)
-        ref, _ = _svd_route(Lz, j, seed, lin.rank)
+        X = ginibre_tuple(n, N, stream(seed, STREAM_GINIBRE, 0))
+        ref, _ = _svd_route(assemble_Lz(lin, X, 0.3 - 0.2j), j, seed, lin.rank)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", _no_svd)
-            U = orthocomplement_basis(Lz, j, seed, lin.rank).U
+            U = orthocomplement_basis(lin.blocks(X, 0.3 - 0.2j), j, seed).U
         assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
+
+
+_CERT_KAPPA = 1 / (walks.NULLSPACE_RTOL * walks._CERT_MARGIN)  # largest kappa_F certified
+
+
+def _kappa(blocks, j):
+    """kappa_F = ||L^z||_F ||(L^z)^{-1}||_F as the certified route reads it."""
+    return blocks.frobenius() * walks._inverse_rows(blocks, j)[1]
 
 
 @pytest.mark.parametrize("case", ["singular", "ill-conditioned", "residual"])
 def test_uncertified_draw_takes_the_exact_route_bit_for_bit(case, monkeypatch):
-    # L^z is singular (its block column j is zero) or nearly so, or the
-    # residual check is made to fail; the retained columns stay full rank,
-    # so the exact route returns its basis unchanged
-    rng = np.random.default_rng(70)
-    N, r, j, seed = 6, 2, 2, 4
-    d = r + 1
-    Lz = rng.normal(size=(d * N, d * N)) + 1j * rng.normal(size=(d * N, d * N))
-    cols = [k * N + j for k in range(d)]
+    # the Schur factor S = P - z is singular (every input has a zero column
+    # j, so z = gamma = 0 is an eigenvalue of P and LU meets an exact zero
+    # pivot) or nearly so (z = lambda + 1e-13 for an eigenvalue lambda of
+    # P, so kappa_F is far above the cutoff), or the residual check is
+    # made to fail; the retained columns stay full rank, so the exact
+    # route returns its basis unchanged
+    lin = build_linearization(ANTI)
+    N, j, seed = 6, 2, 4
+    X = ginibre_tuple(2, N, stream(70, STREAM_GINIBRE, 0))
+    z = 0.0
     if case == "singular":
-        Lz[:, cols] = 0.0
+        for M in X:
+            M[:, j] = 0.0
     elif case == "ill-conditioned":
-        Lz[:, cols] *= 1e-14
+        z = np.linalg.eigvals(evaluate(ANTI, X))[0] + 1e-13
     else:
         monkeypatch.setattr(walks, "_CERT_RESID", 0.0)
-    ref, ratio = _svd_route(Lz, j, seed, r)
+    blocks = lin.blocks(X, z)
+    if case == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            walks._inverse_rows(blocks, j)
+    else:
+        assert (_kappa(blocks, j) > _CERT_KAPPA) == (case == "ill-conditioned")
+    ref, ratio = _svd_route(assemble_Lz(lin, X, z), j, seed, lin.rank)
     assert ratio > 1e-3
-    assert np.array_equal(orthocomplement_basis(Lz, j, seed, r).U, ref)
+    assert np.array_equal(orthocomplement_basis(blocks, j, seed).U, ref)
 
 
 def _no_inverse(*args, **kwargs):
@@ -147,65 +162,129 @@ def _no_inverse(*args, **kwargs):
 @pytest.mark.parametrize("N", [1, 5])
 def test_non_finite_Lz_raises_before_any_decomposition(bad, N, monkeypatch):
     # trial_matrix's rule: a non-finite matrix is a backend failure
-    # (LinAlgError, exit 2), not a draw; neither route may run on it
-    rng = np.random.default_rng(72)
-    Lz = rng.normal(size=(3 * N, 3 * N)) + 1j * rng.normal(size=(3 * N, 3 * N))
-    Lz[3 * N - 1, 0] = bad
+    # (LinAlgError, exit 2), not a draw; neither route may run on it. The
+    # bad entry is entry (3N - 1, 0) of L^z, in its block C_2
+    lin = build_linearization(ANTI)
+    blocks = lin.blocks(ginibre_tuple(2, N, stream(72, STREAM_GINIBRE, 0)), 0.3)
+    blocks.C[1][N - 1, 0] = bad
     monkeypatch.setattr(walks._openblas, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-        orthocomplement_basis(Lz, 0, 1, 2)
+        orthocomplement_basis(blocks, 0, 1)
 
 
 def test_certified_route_needs_no_numpy_inverse_or_svd(monkeypatch):
     lin = build_linearization(ANTI)
-    Lz = assemble_Lz(lin, ginibre_tuple(2, 12, stream(3, STREAM_GINIBRE, 0)), 0.3)
-    ref, _ = _svd_route(Lz, 4, 3, lin.rank)
+    X = ginibre_tuple(2, 12, stream(3, STREAM_GINIBRE, 0))
+    ref, _ = _svd_route(assemble_Lz(lin, X, 0.3), 4, 3, lin.rank)
     monkeypatch.setattr(np.linalg, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
-    U = orthocomplement_basis(Lz, 4, 3, lin.rank).U
+    U = orthocomplement_basis(lin.blocks(X, 0.3), 4, 3).U
     assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
+
+
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("L^z was assembled")
+
+
+def test_certified_route_never_assembles_Lz(monkeypatch):
+    lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
+    X = ginibre_tuple(3, 12, stream(5, STREAM_GINIBRE, 0))
+    ref, _ = _svd_route(assemble_Lz(lin, X, 0.3 - 0.2j), 7, 5, lin.rank)
+    monkeypatch.setattr(linearize, "assemble_Lz", _no_assembly)
+    monkeypatch.setattr(LzBlocks, "dense", _no_assembly)
+    U = orthocomplement_basis(lin.blocks(X, 0.3 - 0.2j), 7, 5).U
+    assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("N", [2, 12, 40])
+def test_blockwise_kappa_equals_the_dense_frobenius_product(N):
+    # ||L^z||_F is summed over the blocks, and ||(L^z)^{-1}||_F and the rows
+    # kN + j over the blocks of the inverse, one N x N block at a time; a
+    # dense inverse gives all of them at once
+    lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
+    X = ginibre_tuple(3, N, stream(80, STREAM_GINIBRE, 0))
+    z, j = 0.3 - 0.2j, N - 1
+    Lz = assemble_Lz(lin, X, z)
+    inv = np.linalg.inv(Lz)
+    blocks = lin.blocks(X, z)
+    rows, _ = walks._inverse_rows(blocks, j)
+    dense = np.linalg.norm(Lz) * np.linalg.norm(inv)
+    assert abs(_kappa(blocks, j) - dense) <= 1e-10 * dense
+    ref = inv[[k * N + j for k in range(lin.dim)]]
+    assert np.abs(rows - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@st.composite
+def _quadratic_draws(draw):
+    """A random quadratic polynomial in n <= 3 variables (coefficients in
+    the unit disk), a Ginibre input of size N <= 8, a shift and j."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 8))
+    coeff = st.complex_numbers(max_magnitude=1.0)
+    words = [()] + [(l,) for l in range(1, n + 1)]
+    words += [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
+    p = NcPoly(n, {w: draw(coeff) for w in words})
+    assume(p.degree == 2)
+    X = ginibre_tuple(n, N, stream(draw(st.integers(0, 2**32 - 1)), STREAM_GINIBRE, 0))
+    return p, X, draw(coeff), draw(st.integers(0, N - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quadratic_draws())
+def test_certified_projector_matches_the_svd_route_property(case):
+    # whenever the Schur-factor route certifies a draw, its projector is
+    # the exact route's
+    p, X, z, j = case
+    lin = build_linearization(p)
+    Q = walks._certified_complement(lin.blocks(X, z), j)
+    if Q is not None:
+        ref, _ = _svd_route(assemble_Lz(lin, X, z), j, 0, lin.rank)
+        assert np.abs(Q @ Q.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
 @pytest.mark.parametrize("scale, degenerate", [(1e-14, True), (1e-9, False)])
 def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
-    # one retained column scaled down, so smin/smax of the retained
-    # columns falls on either side of 1e-12; L^z stays invertible, and the
-    # bound, which is below that ratio, refuses both, so the exact route
-    # decides
-    rng = np.random.default_rng(71)
-    N, r, j = 5, 2, 0
-    d = r + 1
-    Lz = rng.normal(size=(d * N, d * N)) + 1j * rng.normal(size=(d * N, d * N))
-    Lz[:, 1] *= scale
-    _, exact = _svd_route(Lz, j, 1, r)
+    # column 1 of every input scaled down, with z = gamma, scales column 1
+    # of L^z, so smin/smax of the retained columns falls on either side of
+    # 1e-12; L^z stays invertible, and the bound, which is below that
+    # ratio, refuses both, so the exact route decides
+    lin = build_linearization(ANTI)
+    N, j = 5, 0
+    X = ginibre_tuple(2, N, stream(71, STREAM_GINIBRE, 0))
+    for M in X:
+        M[:, 1] *= scale
+    z = lin.gamma
+    blocks = lin.blocks(X, z)
+    assert _kappa(blocks, j) > _CERT_KAPPA
+    _, exact = _svd_route(assemble_Lz(lin, X, z), j, 1, lin.rank)
     assert (exact <= walks.NULLSPACE_RTOL) == degenerate
     if degenerate:
         with pytest.raises(DegenerateDrawError):
-            orthocomplement_basis(Lz, j, 1, r)
+            orthocomplement_basis(blocks, j, 1)
     else:
-        orthocomplement_basis(Lz, j, 1, r)
+        orthocomplement_basis(blocks, j, 1)
 
 
 def test_orthocomplement_memory_stays_below_two_copies_of_Lz(monkeypatch):
     # walks-scan's walks-delta draw (N = 120, z = 0.3, seed 1) takes the
-    # certified route, which holds one LU workspace (a copy of L^z that
-    # becomes its inverse), LAPACK's n x nb workspace and (r+1)-column
-    # slabs: 1.19 copies of L^z. Every one of those buffers is a numpy
-    # array, so tracemalloc sees them all; with np.linalg.inv it read 1.03,
-    # because it never saw inv's malloc'd copy, identity and solution.
-    # The exact route's M, U and V^H peak at 3 copies of L^z
+    # certified route, which holds the Schur factor S, its LU inverse and
+    # a few other N x N products beside the blocks, never an (r+1)N-square
+    # array: 0.46 copies of L^z. The exact route's M, U and V^H peak at 3
+    # copies of L^z
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
-    Lz = assemble_Lz(lin, trial_tuple(3, 120, 1, 0), 0.3)
+    N = 120
+    blocks = lin.blocks(trial_tuple(3, N, 1, 0), 0.3)
+    Lz_bytes = (lin.dim * N) ** 2 * np.dtype(complex).itemsize
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
     tracemalloc.start()
     try:
-        orthocomplement_basis(Lz, 0, 1, lin.rank)
+        orthocomplement_basis(blocks, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * Lz.nbytes
+    assert peak < Lz_bytes
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -279,7 +358,7 @@ def test_projection_is_shift_plus_walk(text, j):
     N, z = 8, 0.3 - 0.1j
     X = ginibre_tuple(p.num_vars, N, stream(11, STREAM_GINIBRE, 0))
     Lz = assemble_Lz(lin, X, z)
-    U = orthocomplement_basis(Lz, j, 12, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, z), j, 12)
     A, K = lin.pencil(z)
     Ui = U.blocks
     walk = sum(X[l][i, j] * Ui[i].conj().T @ A[l]
@@ -296,10 +375,11 @@ def test_projection_scan_bounds_smin_of_Lz():
     for seed in (3, 4):
         X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
         Lz = assemble_Lz(lin, X, 0.1 + 0.05j)
+        blocks = lin.blocks(X, 0.1 + 0.05j)
         smin_L = np.linalg.svd(Lz, compute_uv=False)[-1]
         smins = []
         for j in range(N):
-            U = orthocomplement_basis(Lz, j, 100 + seed, lin.rank)
+            U = orthocomplement_basis(blocks, j, 100 + seed)
             hL = U.U.conj().T @ Lz[:, [k * N + j for k in range(lin.rank + 1)]]
             smins.append(np.linalg.svd(hL, compute_uv=False)[-1])
         assert min(smins) <= np.sqrt(N) * smin_L * (1 + 1e-6)
@@ -386,8 +466,7 @@ def test_delta_family1_nonempty_when_n_exceeds_r():
     # rank-1 polynomial in 2 variables: family 1 ranges over l = 2
     lin = build_linearization(parse("x1*x2"))
     X = ginibre_tuple(2, 9, stream(13, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, 0.2)
-    U = orthocomplement_basis(Lz, 0, 3, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, 0.2), 0, 3)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-6)
     (b1, w1), (b2, w2) = _brute_delta_maxima(U, s)
@@ -408,7 +487,7 @@ def test_delta_witnesses_follow_scan_order_in_both_families(text, n, N):
     # against the oracle for a case with both families present
     lin = build_linearization(parse(text, num_vars=n))
     X = ginibre_tuple(n, N, stream(17, STREAM_GINIBRE, 0))
-    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 19, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 19)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-9)
     (b1, w1), (b2, w2) = _brute_delta_maxima(U, s)
@@ -458,8 +537,7 @@ def test_delta_sampled_bases_are_never_structured():
     threshold = float(N) ** (-lin.rank / 2 - 10)
     for draw in range(5):
         X = ginibre_tuple(2, N, stream(20 + draw, STREAM_GINIBRE, 0))
-        Lz = assemble_Lz(lin, X, 0.0)
-        U = orthocomplement_basis(Lz, 0, 30 + draw, lin.rank)
+        U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 30 + draw)
         rep = delta_report(U, lin.s_matrix(), threshold)
         assert not rep.structured
         assert np.linalg.svd(U.tall_block(0), compute_uv=False)[-1] > 0
@@ -470,7 +548,7 @@ def test_delta_report_independent_of_tuple_chunk(monkeypatch):
     # N^r = 100 nor N^(r+1) = 1000
     lin = build_linearization(parse("x1*x2 + x2*x1 + x3"))
     X = ginibre_tuple(3, 10, stream(11, STREAM_GINIBRE, 0))
-    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 12, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 12)
     whole = delta_report(U, lin.s_matrix(), threshold=1e-9)
     monkeypatch.setattr(walks, "_TUPLE_CHUNK", 7)
     chunked = delta_report(U, lin.s_matrix(), threshold=1e-9)
@@ -548,7 +626,7 @@ def test_delta_report_det_batches_cover_every_tuple_once(chunk, monkeypatch):
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     N, r, n = 9, lin.rank, 3
     X = ginibre_tuple(n, N, stream(21, STREAM_GINIBRE, 0))
-    U = orthocomplement_basis(assemble_Lz(lin, X, 0.3), 0, 22, r)
+    U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 22)
     sizes = []
     det = np.linalg.det
 
@@ -581,8 +659,7 @@ def test_walk_matrix_shape_and_sparsity_rank_one():
     # n = 2, r = 1: Phi is 2N x 4 with U^0 in the upper right block only
     lin = build_linearization(parse("x1*x2"))
     X = ginibre_tuple(2, 5, stream(40, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, 0.1)
-    U = orthocomplement_basis(Lz, 0, 41, lin.rank)
+    U = orthocomplement_basis(lin.blocks(X, 0.1), 0, 41)
     phi = walk_matrix(U, lin.s_matrix())
     assert phi.shape == (10, 4)
     assert np.array_equal(phi[:5, 2:4], U.tall_block(0))
