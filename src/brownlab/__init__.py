@@ -26,7 +26,6 @@ from .linearize import (
     SingularFactorError,
     SchurMismatchError,
     build_linearization,
-    assemble_Lz,
     verify_schur,
 )
 from .pseudospec import (

@@ -193,32 +193,21 @@ def _interior_cell_edges(grid):
     return re_edges, im_edges
 
 
-def compare_esd_brown(eigenvalues, brown, bins):
+def compare_esd_brown(eigenvalues, brown):
     """Total-variation distance between binned ESD and Brown density.
 
     eigenvalues is an array of eigenvalue samples, for example several
-    `rmtcore.esd` arrays concatenated. Eigenvalue mass is normalized over
+    `rmtcore.esd` arrays concatenated, binned on the cells of the grid the
+    Brown estimate was computed on. Eigenvalue mass is normalized over
     the whole sample; mass falling outside the binning box counts fully
     toward the distance (the Brown side has no mass there). The Brown density is clipped to nonnegative
-    and renormalized before comparison. bins must coincide with the grid
-    the Brown estimate was computed on.
+    and renormalized before comparison.
     """
     lam = np.asarray(eigenvalues)
     if lam.size == 0:
         raise ValueError("empty spectrum")
-    g = brown.grid
-    same = (
-        bins.nx == g.nx
-        and bins.ny == g.ny
-        and np.allclose(
-            [bins.re_min, bins.re_max, bins.im_min, bins.im_max],
-            [g.re_min, g.re_max, g.im_min, g.im_max],
-        )
-    )
-    if not same:
-        raise ValueError("bins must match the Brown estimate grid")
 
-    re_edges, im_edges = _interior_cell_edges(g)
+    re_edges, im_edges = _interior_cell_edges(brown.grid)
     hist, _, _ = np.histogram2d(lam.real, lam.imag, bins=[re_edges, im_edges])
     p = hist / lam.size
 

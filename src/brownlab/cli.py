@@ -16,11 +16,12 @@ uncreatable output directory, a bad replay manifest or one whose argv
 only asks for help), 2 numerical backend failure. The parsers refuse
 non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
 `--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
-`brown --floor` or `walks-delta --threshold`, so those exit 1 before any
-work is done. Failure rule: a trial whose P = p(X) or L^z is non-finite,
-or whose LAPACK call fails, raises numpy's LinAlgError; that, a
-degenerate walk draw, a singular linearization factor, a failed Schur
-check and a MemoryError (an array too large to allocate) all exit 2.
+`brown --floor` or `walks-delta --threshold`, and the walk commands
+refuse a `--j` outside [0, N), so those exit 1 before any work is done.
+Failure rule: a trial whose P = p(X) or L^z is non-finite, or whose
+LAPACK call fails, raises numpy's LinAlgError; that, a degenerate walk
+draw, a singular linearization factor, a failed Schur check and a
+MemoryError (an array too large to allocate) all exit 2.
 Since a body writes nothing and dispatch writes only once the body has
 returned, a run that exits 1 or 2 leaves no file, even when it fails
 while serializing its last output. An OSError while writing outputs is
@@ -314,6 +315,8 @@ def _stieltjes(args, p):
 
 def _walk_basis(args, p):
     """The linearization of p and the basis U for block column j of L^z."""
+    if not 0 <= args.j < args.N:  # before the tuple is drawn
+        raise CliError(f"argument --j: block column index {args.j} outside [0, {args.N})")
     lin = build_linearization(p)
     blocks = lin.blocks(trial_tuple(p.num_vars, args.N, args.seed, 0), args.z)
     return lin, orthocomplement_basis(blocks, args.j, args.seed)

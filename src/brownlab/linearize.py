@@ -13,7 +13,7 @@ L^z = K^z (x) Id + sum_l A_l (x) X_l with (r+1) x (r+1) coefficients A_l
 and K^z = diag(gamma - z, -Id_r). The Schur complement of the lower-right
 -Id block is p(X) - z, so (p - z)^{-1} = ((L^z)^{-1})_{0,0} exactly.
 Only 2r+1 of the (r+1)^2 N x N blocks of L^z are not -delta Id:
-`Linearization.blocks` returns those (`LzBlocks`), and `assemble_Lz`
+`Linearization.blocks` returns those (`LzBlocks`), and `LzBlocks.dense`
 writes them into the dense matrix.
 
 The SVD gauge (phases, ordering of degenerate singular directions) is not
@@ -36,7 +36,6 @@ __all__ = [
     "LzBlocks",
     "SingularFactorError",
     "build_linearization",
-    "assemble_Lz",
     "verify_schur",
     "SchurMismatchError",
 ]
@@ -126,7 +125,7 @@ class Linearization:
         return LzBlocks(B00=B00, Y=Y, C=C)
 
     def s_matrix(self):
-        """The s-vectors in the rotated frame of assemble_Lz, as (r+1) x n."""
+        """The s-vectors in the rotated frame of L^z, as (r+1) x n."""
         return np.stack([self.rotation @ sk for sk in self.s])
 
     def to_json(self):
@@ -222,11 +221,6 @@ def build_linearization(p):
     return Linearization(rank=r, s=s, rotation=U.T, gamma=p.terms.get((), 0j), source=p)
 
 
-def assemble_Lz(lin, X, z):
-    """L^z from raw inputs: lin.blocks(X, z) written into one (r+1)N-square array."""
-    return lin.blocks(X, z).dense()
-
-
 # Invertibility guard for both factors entering the resolvent identity.
 SMIN_GUARD = 1e-10
 
@@ -246,7 +240,7 @@ def verify_schur(lin, X, z):
     X = [np.asarray(M) for M in X]
     N = X[0].shape[0]
     P = evaluate(lin.source, X)
-    Lz = assemble_Lz(lin, X, z)
+    Lz = lin.blocks(X, z).dense()
 
     smin_L = svdvals(Lz)[-1]
     if smin_L < SMIN_GUARD:

@@ -10,10 +10,10 @@ column is the matrix random walk sum_i U_i^* L_i.
 The basis is read off (L^z)^{-1}: its rows for block column j annihilate
 every other column of L^z. L^z is given by its 2r+1 nonzero N x N blocks
 (`linearize.LzBlocks`), and those rows come from the N x N Schur factor
-S = P - z alone: one LU inverse of S (`_openblas.inv`), then the blocks
-of the inverse, one N x N product at a time. Neither L^z nor its
-inverse, both (r+1)N square, is formed. That route is taken only when it
-is proven safe. The retained columns M = L^z S satisfy
+S = P - z alone: one `np.linalg.inv` of S, then the blocks of the
+inverse, one N x N product at a time. Neither L^z nor its inverse, both
+(r+1)N square, is formed. That route is taken only when it is proven
+safe. The retained columns M = L^z S satisfy
 smin(M)/smax(M) >= 1/(||L^z||_F ||(L^z)^{-1}||_F), with both norms summed
 exactly over the blocks, and that bound must clear the null-space cutoff
 1e-12 by a factor 1e3; the basis must also annihilate M to
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _openblas
 from .pseudospec import MIN_TAIL_TRIALS, TailEstimate
 from .rmtcore import STREAM_HAAR, STREAM_WALK, haar_unitary, stream
 
@@ -157,11 +156,11 @@ def _inverse_rows(blocks, j):
 
     With T_0 = S^{-1} and T_a = C_a S^{-1}, block (a, 0) of the inverse is
     T_a and block (a, b) is T_a Y_b, minus Id when a = b (`LzBlocks`). Each
-    block is formed once, from the one LU inverse of S (`_openblas.inv`);
-    its row j goes to the rows and its squared norm to the sum, so the
-    norm is exact, not a bound. A singular S raises LinAlgError.
+    block is formed once, from the one inverse of S (`np.linalg.inv`); its
+    row j goes to the rows and its squared norm to the sum, so the norm is
+    exact, not a bound. A singular S raises LinAlgError.
     """
-    S_inv = _openblas.inv(blocks.schur())
+    S_inv = np.linalg.inv(blocks.schur())
     N, d = blocks.N, blocks.r + 1
     rows = np.empty((d, d * N), dtype=complex)
     inv_sq = 0.0

@@ -101,7 +101,7 @@ def test_criterion_3_esd_vs_brown_pipeline():
     for t in range(5):
         X = ginibre_tuple(2, 2000, stream(44, STREAM_GINIBRE, t))
         lams.append(bl.esd(bl.evaluate(ANTI, X)))
-    tv = bl.compare_esd_brown(np.concatenate(lams), est, grid)
+    tv = bl.compare_esd_brown(np.concatenate(lams), est)
     crit.finish(tv <= 0.15, f"total variation {tv:.4f} <= 0.15")
 
 

@@ -672,6 +672,28 @@ def test_tol_and_floor_are_checked_before_any_work(flag, argv, first_step, value
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("walks-delta", []),
+    ("walks-dettail", ["--eps", "1e-3,1e-2", "--trials", "100"]),
+], ids=["delta", "dettail"])
+@pytest.mark.parametrize("j", ["8", "-1"])
+def test_walks_block_column_is_checked_before_the_draw(command, extra, j, tmp_path, capsys,
+                                                       monkeypatch):
+    # --j outside [0, N) exits 1 before the Ginibre tuple is drawn, so a
+    # bad index at a large N costs nothing
+    import brownlab.cli as cli
+
+    def drawn(*a, **k):
+        raise AssertionError("tuple drawn before --j was checked")
+
+    monkeypatch.setattr(cli, "trial_tuple", drawn)
+    code = dispatch([command, "--poly", "x1*x2+x2*x1", "--N", "8", "--z", "0", "--j", j,
+                     *extra, "-o", str(tmp_path)])
+    assert code == 1
+    assert "--j" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_walks_dettail_command(tmp_path, capsys):
     code = dispatch(
         ["walks-dettail", "--poly", "x1*x2+x2*x1", "--N", "14", "--z", "0",

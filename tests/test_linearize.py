@@ -10,7 +10,6 @@ from brownlab.linearize import (
     Linearization,
     SchurMismatchError,
     SingularFactorError,
-    assemble_Lz,
     build_linearization,
     verify_schur,
 )
@@ -193,7 +192,7 @@ def test_pencil_reads_back_quadratic_data(text, z):
 def test_assemble_anticommutator_scalar_case():
     lin = build_linearization(parse("x1*x2 + x2*x1"))
     x1, x2 = np.array([[0.7]]), np.array([[-0.3]])
-    L = assemble_Lz(lin, [x1, x2], 0.0)
+    L = lin.blocks([x1, x2], 0.0).dense()
     assert L.shape == (3, 3)
     assert np.isclose(L[0, 0], 0)  # gamma - z + Y_0 with b = 0
     assert np.allclose(np.diag(L)[1:], -1)
@@ -205,7 +204,7 @@ def test_assemble_anticommutator_scalar_case():
 def test_assemble_zero_inputs_is_pure_shift():
     lin = build_linearization(parse("x1*x2 + x2*x1"))
     Z = np.zeros((2, 2))
-    L = assemble_Lz(lin, [Z, Z], 1.0)
+    L = lin.blocks([Z, Z], 1.0).dense()
     K = lin.pencil(1.0)[1]
     assert np.allclose(L, np.kron(K, np.eye(2)))
 
@@ -216,7 +215,7 @@ def test_assemble_corner_block_oracle():
     lin = build_linearization(p)
     X = ginibre_tuple(3, 4, stream(2, STREAM_GINIBRE, 0))
     z = 0.3 - 0.2j
-    L = assemble_Lz(lin, X, z)
+    L = lin.blocks(X, z).dense()
     _, b, gamma = _split(p)
     # direct block assembly oracle: (0,0) block is sum_l b_l X_l + (gamma-z) Id
     Y0 = sum(b[l] * X[l] for l in range(3)) + (gamma - z) * np.eye(4)
@@ -249,7 +248,7 @@ def _reference_Lz(lin, X, z):
 def test_assemble_equals_block_reference(p, N, trial, z):
     lin = build_linearization(p)
     X = ginibre_tuple(p.num_vars, N, stream(10, STREAM_GINIBRE, trial))
-    assert np.array_equal(assemble_Lz(lin, X, z), _reference_Lz(lin, X, z))
+    assert np.array_equal(lin.blocks(X, z).dense(), _reference_Lz(lin, X, z))
 
 
 @pytest.mark.parametrize("text, z", _PENCIL_CASES)
@@ -268,9 +267,9 @@ def test_schur_factor_is_P_minus_z(text, z, N):
 def test_assemble_dimension_errors():
     lin = build_linearization(parse("x1*x2 + x2*x1"))
     with pytest.raises(ValueError):
-        assemble_Lz(lin, [np.eye(2)], 0.0)
+        lin.blocks([np.eye(2)], 0.0).dense()
     with pytest.raises(ValueError):
-        assemble_Lz(lin, [np.eye(2), np.eye(3)], 0.0)
+        lin.blocks([np.eye(2), np.eye(3)], 0.0).dense()
 
 
 # ------------------------------------------------------------ Schur checks
@@ -347,8 +346,8 @@ def test_gauge_invariance_of_corner_resolvent():
     X = ginibre_tuple(2, 5, stream(8, STREAM_GINIBRE, 0))
     z = 0.25 + 0.1j
     N = 5
-    inv1 = np.linalg.inv(assemble_Lz(lin, X, z))[:N, :N]
-    inv2 = np.linalg.inv(assemble_Lz(lin2, X, z))[:N, :N]
+    inv1 = np.linalg.inv(lin.blocks(X, z).dense())[:N, :N]
+    inv2 = np.linalg.inv(lin2.blocks(X, z).dense())[:N, :N]
     assert np.allclose(inv1, inv2, atol=1e-10)
 
 
@@ -372,7 +371,7 @@ def test_linearization_json_round_trip():
         assert np.allclose(a, b)
     assert back.gamma == lin.gamma
     X = ginibre_tuple(3, 4, stream(9, STREAM_GINIBRE, 0))
-    assert np.allclose(assemble_Lz(back, X, 0.1), assemble_Lz(lin, X, 0.1))
+    assert np.allclose(back.blocks(X, 0.1).dense(), lin.blocks(X, 0.1).dense())
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))

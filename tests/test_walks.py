@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from brownlab import linearize, walks
-from brownlab.linearize import LzBlocks, assemble_Lz, build_linearization
+from brownlab import walks
+from brownlab.linearize import LzBlocks, build_linearization
 from brownlab.ncpoly import NcPoly, evaluate, parse
 from brownlab.pseudospec import TailEstimate, trial_tuple
 from brownlab.rmtcore import (
@@ -35,7 +35,7 @@ ANTI = parse("x1*x2 + x2*x1")
 def _anti_setup(N, z=0.0, seed=5, draw_seed=9, j=0):
     lin = build_linearization(ANTI)
     X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, z)
+    Lz = lin.blocks(X, z).dense()
     U = orthocomplement_basis(lin.blocks(X, z), j, draw_seed)
     return lin, X, Lz, U
 
@@ -108,7 +108,7 @@ def test_certified_basis_spans_the_svd_complement(text, n, N, last, monkeypatch)
     j = N - 1 if last else 0
     for seed in (1, 2, 3):
         X = ginibre_tuple(n, N, stream(seed, STREAM_GINIBRE, 0))
-        ref, _ = _svd_route(assemble_Lz(lin, X, 0.3 - 0.2j), j, seed, lin.rank)
+        ref, _ = _svd_route(lin.blocks(X, 0.3 - 0.2j).dense(), j, seed, lin.rank)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", _no_svd)
             U = orthocomplement_basis(lin.blocks(X, 0.3 - 0.2j), j, seed).U
@@ -148,7 +148,7 @@ def test_uncertified_draw_takes_the_exact_route_bit_for_bit(case, monkeypatch):
             walks._inverse_rows(blocks, j)
     else:
         assert (_kappa(blocks, j) > _CERT_KAPPA) == (case == "ill-conditioned")
-    ref, ratio = _svd_route(assemble_Lz(lin, X, z), j, seed, lin.rank)
+    ref, ratio = _svd_route(lin.blocks(X, z).dense(), j, seed, lin.rank)
     assert ratio > 1e-3
     assert np.array_equal(orthocomplement_basis(blocks, j, seed).U, ref)
 
@@ -167,20 +167,28 @@ def test_non_finite_Lz_raises_before_any_decomposition(bad, N, monkeypatch):
     lin = build_linearization(ANTI)
     blocks = lin.blocks(ginibre_tuple(2, N, stream(72, STREAM_GINIBRE, 0)), 0.3)
     blocks.C[1][N - 1, 0] = bad
-    monkeypatch.setattr(walks._openblas, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         orthocomplement_basis(blocks, 0, 1)
 
 
-def test_certified_route_needs_no_numpy_inverse_or_svd(monkeypatch):
+def test_certified_route_inverts_only_the_N_by_N_schur_factor(monkeypatch):
+    # one np.linalg.inv, of S = P - z, and no SVD: L^z is never inverted
     lin = build_linearization(ANTI)
     X = ginibre_tuple(2, 12, stream(3, STREAM_GINIBRE, 0))
-    ref, _ = _svd_route(assemble_Lz(lin, X, 0.3), 4, 3, lin.rank)
-    monkeypatch.setattr(np.linalg, "inv", _no_inverse)
+    ref, _ = _svd_route(lin.blocks(X, 0.3).dense(), 4, 3, lin.rank)
+    shapes = []
+    numpy_inv = np.linalg.inv
+
+    def recording_inv(A):
+        shapes.append(np.shape(A))
+        return numpy_inv(A)
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
     U = orthocomplement_basis(lin.blocks(X, 0.3), 4, 3).U
+    assert shapes == [(12, 12)]
     assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
@@ -191,8 +199,7 @@ def _no_assembly(*args, **kwargs):
 def test_certified_route_never_assembles_Lz(monkeypatch):
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     X = ginibre_tuple(3, 12, stream(5, STREAM_GINIBRE, 0))
-    ref, _ = _svd_route(assemble_Lz(lin, X, 0.3 - 0.2j), 7, 5, lin.rank)
-    monkeypatch.setattr(linearize, "assemble_Lz", _no_assembly)
+    ref, _ = _svd_route(lin.blocks(X, 0.3 - 0.2j).dense(), 7, 5, lin.rank)
     monkeypatch.setattr(LzBlocks, "dense", _no_assembly)
     U = orthocomplement_basis(lin.blocks(X, 0.3 - 0.2j), 7, 5).U
     assert np.abs(U @ U.conj().T - ref @ ref.conj().T).max() <= 1e-10
@@ -206,7 +213,7 @@ def test_blockwise_kappa_equals_the_dense_frobenius_product(N):
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     X = ginibre_tuple(3, N, stream(80, STREAM_GINIBRE, 0))
     z, j = 0.3 - 0.2j, N - 1
-    Lz = assemble_Lz(lin, X, z)
+    Lz = lin.blocks(X, z).dense()
     inv = np.linalg.inv(Lz)
     blocks = lin.blocks(X, z)
     rows, _ = walks._inverse_rows(blocks, j)
@@ -240,7 +247,7 @@ def test_certified_projector_matches_the_svd_route_property(case):
     lin = build_linearization(p)
     Q = walks._certified_complement(lin.blocks(X, z), j)
     if Q is not None:
-        ref, _ = _svd_route(assemble_Lz(lin, X, z), j, 0, lin.rank)
+        ref, _ = _svd_route(lin.blocks(X, z).dense(), j, 0, lin.rank)
         assert np.abs(Q @ Q.conj().T - ref @ ref.conj().T).max() <= 1e-10
 
 
@@ -258,7 +265,7 @@ def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
     z = lin.gamma
     blocks = lin.blocks(X, z)
     assert _kappa(blocks, j) > _CERT_KAPPA
-    _, exact = _svd_route(assemble_Lz(lin, X, z), j, 1, lin.rank)
+    _, exact = _svd_route(lin.blocks(X, z).dense(), j, 1, lin.rank)
     assert (exact <= walks.NULLSPACE_RTOL) == degenerate
     if degenerate:
         with pytest.raises(DegenerateDrawError):
@@ -269,7 +276,7 @@ def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
 
 def test_orthocomplement_memory_stays_below_two_copies_of_Lz(monkeypatch):
     # walks-scan's walks-delta draw (N = 120, z = 0.3, seed 1) takes the
-    # certified route, which holds the Schur factor S, its LU inverse and
+    # certified route, which holds the Schur factor S, its inverse and
     # a few other N x N products beside the blocks, never an (r+1)N-square
     # array: 0.46 copies of L^z. The exact route's M, U and V^H peak at 3
     # copies of L^z
@@ -357,7 +364,7 @@ def test_projection_is_shift_plus_walk(text, j):
     lin = build_linearization(p)
     N, z = 8, 0.3 - 0.1j
     X = ginibre_tuple(p.num_vars, N, stream(11, STREAM_GINIBRE, 0))
-    Lz = assemble_Lz(lin, X, z)
+    Lz = lin.blocks(X, z).dense()
     U = orthocomplement_basis(lin.blocks(X, z), j, 12)
     A, K = lin.pencil(z)
     Ui = U.blocks
@@ -374,7 +381,7 @@ def test_projection_scan_bounds_smin_of_Lz():
     N = 16
     for seed in (3, 4):
         X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
-        Lz = assemble_Lz(lin, X, 0.1 + 0.05j)
+        Lz = lin.blocks(X, 0.1 + 0.05j).dense()
         blocks = lin.blocks(X, 0.1 + 0.05j)
         smin_L = np.linalg.svd(Lz, compute_uv=False)[-1]
         smins = []
