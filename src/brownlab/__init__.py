@@ -34,9 +34,9 @@ from .pseudospec import (
     TailEstimate,
     trial_tuple,
     trial_matrix,
+    trial_map,
     smin_map_full,
     tail_estimate,
-    smin_shifted_tail,
     pseudospectrum_area,
 )
 from .brown import (

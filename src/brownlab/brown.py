@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._pool import parallel_map
-from .pseudospec import GridField, GridSpec, trial_matrix
+from .pseudospec import GridField, GridSpec, trial_map
 from .rmtcore import shifted_svals
 
 __all__ = [
@@ -95,16 +94,11 @@ def log_potential(p, N, grid, trials, floor=None, seed=0, threads=None, method="
     floor = default_floor(N) if floor is None else float(floor)
     if floor <= 0:
         raise ValueError("floor must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if method not in ("auto", "svd"):
         raise ValueError("method must be 'auto' or 'svd'")
     nodes_flat = grid.nodes().ravel()
-
-    def one(trial):
-        return _h_one_sample(trial_matrix(p, N, seed, trial), nodes_flat, floor, method)
-
-    results = parallel_map(one, range(trials), threads)
+    results = trial_map(lambda P: _h_one_sample(P, nodes_flat, floor, method),
+                        p, N, trials, seed, threads)
     h = np.mean([r[0] for r in results], axis=0).reshape(grid.nx, grid.ny)
     trunc = np.mean([r[1] for r in results], axis=0).reshape(grid.nx, grid.ny)
     meta = {"N": N, "trials": trials, "seed": seed, "method": method}
@@ -174,16 +168,13 @@ def stieltjes(p, N, z, eta_ladder, trials, seed, threads=None):
     eta = np.asarray(eta_ladder, dtype=float)
     if np.any(eta <= 0):
         raise ValueError("eta ladder must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
-    def one(trial):
-        sv = shifted_svals(trial_matrix(p, N, seed, trial), [z])[0]
+    def one(P):
+        sv = shifted_svals(P, [z])[0]
         masses = sv * sv
         return np.array([np.mean(1.0 / (1j * e - masses)) for e in eta])
 
-    samples = parallel_map(one, range(trials), threads)
-    return np.mean(samples, axis=0)
+    return np.mean(trial_map(one, p, N, trials, seed, threads), axis=0)
 
 
 def _interior_cell_edges(grid):

@@ -15,9 +15,10 @@ polynomial, unsatisfiable grid, a star word too long for free-moment, an
 uncreatable output directory, a bad replay manifest or one whose argv
 only asks for help), 2 numerical backend failure. The parsers refuse
 non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
-`--threads`, and a non-positive `area --eps`, `linearize-check --tol`,
-`brown --floor` or `walks-delta --threshold`, and the walk commands
-refuse a `--j` outside [0, N), so those exit 1 before any work is done.
+`--threads`, a negative `--seed`, and a non-positive `area --eps`,
+`linearize-check --tol`, `brown --floor` or `walks-delta --threshold`,
+and the walk commands refuse a `--j` outside [0, N), so those exit 1
+before any work is done.
 Failure rule: a trial whose P = p(X) or L^z is non-finite, or whose
 LAPACK call fails, raises numpy's LinAlgError; that, a degenerate walk
 draw, a singular linearization factor, a failed Schur check and a
@@ -53,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._pool import _BLAS, blas_record, parallel_map
+from ._pool import _BLAS, blas_record
 from .brown import brown_estimate, log_potential, stieltjes
 from .linearize import (SchurMismatchError, SingularFactorError, build_linearization,
                         verify_schur)
@@ -64,7 +65,7 @@ from .pseudospec import (
     pseudospectrum_area,
     smin_map_full,
     tail_estimate,
-    trial_matrix,
+    trial_map,
     trial_tuple,
 )
 from .rmtcore import csv_text, esd
@@ -140,6 +141,14 @@ def parse_positive_int(text):
     value = int(text)
     if value < 1:
         raise CliError(f"{text!r} is not a positive integer")
+    return value
+
+
+def parse_nonnegative_int(text):
+    """An integer of at least 0, as a Philox seed must be."""
+    value = int(text)
+    if value < 0:
+        raise CliError(f"{text!r} is not a non-negative integer")
     return value
 
 
@@ -245,9 +254,8 @@ def _slope(est):
 # ------------------------------------------------------------ command bodies
 
 def _spectrum(args, p):
-    lam = np.concatenate(parallel_map(
-        lambda t: esd(trial_matrix(p, args.N, args.seed, t)),
-        range(args.trials), threads=args.threads))
+    lam = np.concatenate(trial_map(esd, p, args.N, args.trials, args.seed,
+                                   threads=args.threads))
     return ({"spectrum.csv": csv_text({"re": lam.real, "im": lam.imag})},
             f"spectrum: {len(lam)} eigenvalues -> {Path(args.out, 'spectrum.csv')}")
 
@@ -373,7 +381,7 @@ _EPS = _arg("--eps", type=parse_ladder, required=True,
             help="ladder lo:hi:log10[:count] or comma list")
 _J = _arg("--j", type=int, default=0, help="block column index")
 _RUN = (
-    _arg("--seed", type=int, default=0),
+    _arg("--seed", type=parse_nonnegative_int, default=0),
     _arg("-o", "--out", default="brownlab-out", help="output directory"),
 )
 # the commands that map their trials or grid chunks through the pool

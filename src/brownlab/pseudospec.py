@@ -11,7 +11,8 @@ One sample is drawn per trial and swept across all grid nodes, matching
 the fixed-matrix varying-z viewpoint and saving a factor nx*ny in
 sampling cost. Trial t of every experiment draws its Ginibre tuple from
 the Philox substream (seed, STREAM_GINIBRE, t), and trial_tuple is the
-one place that address is formed.
+one place that address is formed. The loop over trials is written once,
+in trial_map, and every Monte Carlo sweep of the package runs on it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ __all__ = [
     "TailEstimate",
     "trial_tuple",
     "trial_matrix",
+    "trial_map",
     "smin_map_full",
     "tail_estimate",
-    "smin_shifted_tail",
     "pseudospectrum_area",
     "wilson_interval",
     "fit_tail_slope",
@@ -142,6 +143,13 @@ def trial_matrix(p, N, seed, trial):
     return P
 
 
+def trial_map(fn, p, N, trials, seed, threads=None):
+    """[fn(P) for the P = p(X) of each trial], mapped on the trial pool."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return parallel_map(lambda t: fn(trial_matrix(p, N, seed, t)), range(trials), threads)
+
+
 def wilson_interval(hits, trials):
     """Wilson 95% interval for a binomial rate."""
     if trials == 0:
@@ -196,8 +204,9 @@ class TailEstimate:
         eps_ladder = np.asarray(eps_ladder, dtype=float)
         if eps_ladder.ndim != 1 or len(eps_ladder) < 1:
             raise ValueError("eps ladder must be a nonempty 1-d sequence")
-        if np.any(np.diff(eps_ladder) <= 0) or np.any(eps_ladder <= 0):
-            raise ValueError("eps ladder must be positive and strictly increasing")
+        if not (np.all(np.isfinite(eps_ladder)) and np.all(eps_ladder > 0)
+                and np.all(np.diff(eps_ladder) > 0)):
+            raise ValueError("eps ladder must be finite, positive and strictly increasing")
         trials = len(samples)
         hits = np.searchsorted(samples, eps_ladder, side="right")
         slope = fit_tail_slope(eps_ladder, hits, trials)
@@ -234,13 +243,9 @@ class TailEstimate:
 
 def _smin_fields(p, N, grid, trials, seed, threads):
     """(trials, nodes) array of smin(P - z), one P per trial."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     nodes = grid.nodes().ravel()
-    return np.stack(parallel_map(
-        lambda t: shifted_svals(trial_matrix(p, N, seed, t), nodes)[:, -1],
-        range(trials), threads,
-    ))
+    return np.stack(trial_map(lambda P: shifted_svals(P, nodes)[:, -1],
+                              p, N, trials, seed, threads))
 
 
 def smin_map_full(p, N, grid, trials, seed, threads=None):
@@ -254,36 +259,12 @@ def smin_map_full(p, N, grid, trials, seed, threads=None):
     )
 
 
-def _tail_from_trials(sample_fn, trials, eps_ladder, z, N, threads):
-    if trials < MIN_TAIL_TRIALS:
-        raise ValueError(f"tail estimates need trials >= {MIN_TAIL_TRIALS}")
-    samples = parallel_map(sample_fn, range(trials), threads)
-    return TailEstimate.from_samples(np.array(samples), eps_ladder, z, N)
-
-
 def tail_estimate(p, N, z, eps_ladder, trials, seed, threads=None):
     """Small-ball ladder for smin(P - z) at a fixed z, fresh P per trial."""
-
-    def one(trial):
-        return shifted_svals(trial_matrix(p, N, seed, trial), [z])[0, -1]
-
-    return _tail_from_trials(one, trials, eps_ladder, z, N, threads)
-
-
-def smin_shifted_tail(N, shift, eps_ladder, trials, seed, threads=None):
-    """Small-ball ladder for smin(X + M), X Ginibre, M a fixed shift.
-
-    A scalar shift c stands for c times the identity.
-    """
-    M = shift * np.eye(N) if np.ndim(shift) == 0 else np.asarray(shift)
-    if M.shape != (N, N):
-        raise ValueError("shift must be N x N")
-
-    def one(trial):
-        X = trial_tuple(1, N, seed, trial)[0]
-        return shifted_svals(X + M, [0.0])[0, -1]
-
-    return _tail_from_trials(one, trials, eps_ladder, None, N, threads)
+    if trials < MIN_TAIL_TRIALS:
+        raise ValueError(f"tail estimates need trials >= {MIN_TAIL_TRIALS}")
+    samples = trial_map(lambda P: shifted_svals(P, [z])[0, -1], p, N, trials, seed, threads)
+    return TailEstimate.from_samples(np.array(samples), eps_ladder, z, N)
 
 
 def pseudospectrum_area(p, N, eps, omega, trials, seed, threads=None):

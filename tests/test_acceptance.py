@@ -13,7 +13,7 @@ import pytest
 import brownlab as bl
 from brownlab.linearize import SingularFactorError
 from brownlab.ncpoly import NcPoly, circular_word_traces, free_moment
-from brownlab.pseudospec import GridSpec, smin_shifted_tail, tail_estimate
+from brownlab.pseudospec import GridSpec, tail_estimate
 from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
 from brownlab.walks import (
     WalkBasis,
@@ -108,16 +108,17 @@ def test_criterion_3_esd_vs_brown_pipeline():
 def test_criterion_4_shifted_smin_scaling():
     crit = _Criterion(4, "shifted smin quadratic scaling", 120.0)
     N, trials = 60, 5000
-    # ladders sit inside the epsilon^2 regime of each shift: well below
-    # the median smin (0.014 for shift 0, 0.055 for the identity shift)
-    # while keeping every retained rung at 5+ hits
+    # smin(X + c I) is smin(P - z) for p = x1 and z = -c. The ladders sit
+    # inside the epsilon^2 regime of each shift: well below the median
+    # smin (0.014 for shift 0, 0.055 for the identity shift) while keeping
+    # every retained rung at 5+ hits
     cases = {
-        "zero": (0, np.logspace(-3.2, -2.2, 8)),
-        "identity": (np.eye(N), np.logspace(-2.2, -1.55, 8)),
+        "zero": (0.0, np.logspace(-3.2, -2.2, 8)),
+        "identity": (1.0, np.logspace(-2.2, -1.55, 8)),
     }
     slopes = {}
     for name, (shift, ladder) in cases.items():
-        est = smin_shifted_tail(N, shift, ladder, trials, seed=130)
+        est = tail_estimate(bl.parse("x1"), N, -shift, ladder, trials, seed=130)
         slopes[name] = est.slope
     ok = all(s is not None and 1.7 <= s <= 2.3 for s in slopes.values())
     detail = ", ".join(f"{k}: slope {v:.3f}" for k, v in slopes.items())

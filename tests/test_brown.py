@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import brownlab.brown as brown
+import brownlab.pseudospec as pseudospec
 from brownlab.brown import (
     BrownEstimate,
     LogPotentialField,
@@ -17,7 +18,7 @@ from brownlab.brown import (
     stieltjes,
 )
 from brownlab.ncpoly import parse
-from brownlab.pseudospec import GridSpec, trial_matrix
+from brownlab.pseudospec import GridSpec, pseudospectrum_area, smin_map_full, trial_matrix
 
 ANTI = parse("x1*x2 + x2*x1")
 
@@ -66,7 +67,7 @@ _ROUTE_GRID = GridSpec(-2, 2, -2, 2, 5, 5)  # nodes at 0, +-1, +-2 on each axis
 ], ids=["jordan", "eigenvalue_on_node", "generic_anti", "inside_guard_margin"])
 def test_auto_route_certifies_only_what_it_can_prove(P, floor, fallbacks, floored,
                                                      monkeypatch):
-    monkeypatch.setattr(brown, "trial_matrix", lambda p, N, seed, trial: P)
+    monkeypatch.setattr(pseudospec, "trial_matrix", lambda p, N, seed, trial: P)
     svd_calls = []
     svd = brown.shifted_svals
 
@@ -98,8 +99,6 @@ def test_monotone_in_floor_shared_samples():
 def test_default_floor_and_validation():
     assert default_floor(400) == 400.0**-6
     g = GridSpec(-1, 1, -1, 1, 3, 3)
-    with pytest.raises(ValueError):
-        log_potential(ANTI, 8, g, trials=0, seed=0)
     with pytest.raises(ValueError):
         log_potential(ANTI, 8, g, trials=1, seed=0, floor=-1.0)
     with pytest.raises(ValueError):
@@ -248,10 +247,20 @@ def test_stieltjes_rejects_nonpositive_eta():
         stieltjes(ANTI, 8, 0.0, np.array([0.0, 1.0]), trials=1, seed=11)
 
 
+_GRID_3X3 = GridSpec(-1, 1, -1, 1, 3, 3)
+
+
 @pytest.mark.parametrize("trials", [0, -1])
-def test_stieltjes_rejects_nonpositive_trials(trials):
+@pytest.mark.parametrize("run", [
+    lambda trials: smin_map_full(ANTI, 8, _GRID_3X3, trials, seed=11),
+    lambda trials: pseudospectrum_area(ANTI, 8, 0.1, _GRID_3X3, trials, seed=11),
+    lambda trials: log_potential(ANTI, 8, _GRID_3X3, trials, seed=11),
+    lambda trials: stieltjes(ANTI, 8, 0.0, np.array([0.1, 1.0]), trials, seed=11),
+], ids=["smin_map_full", "pseudospectrum_area", "log_potential", "stieltjes"])
+def test_every_trial_loop_rejects_nonpositive_trials(run, trials):
+    # one check, in pseudospec.trial_map, guards every loop
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        stieltjes(ANTI, 8, 0.0, np.array([0.1, 1.0]), trials=trials, seed=11)
+        run(trials)
 
 
 # ------------------------------------------------------------- comparison

@@ -17,6 +17,7 @@ from brownlab.cli import (
     parse_complex,
     parse_grid,
     parse_ladder,
+    parse_nonnegative_int,
     parse_positive_float,
     parse_positive_int,
 )
@@ -195,6 +196,14 @@ def test_threads_must_be_a_positive_integer(threads, tmp_path, capsys):
     assert code == 1
     assert "--threads" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["tail", "walks-delta", "linearize-check"])
+def test_negative_seed_is_refused_before_the_output_directory(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert dispatch([name, *_CONTRACT_BASE[name], "--seed", "-1", "-o", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, flag, value, reason", [
@@ -412,7 +421,8 @@ _CONTRACT_BASE = {
                       "--trials", "100"],
     "free-moment": ["--word", "c1 c1*"],
 }
-_NUMERIC_TYPES = {int, parse_positive_int, parse_positive_float, parse_complex, parse_ladder}
+_NUMERIC_TYPES = {int, parse_positive_int, parse_nonnegative_int, parse_positive_float,
+                  parse_complex, parse_ladder}
 _NOT_POSITIVE = ["0", "-1", "nan", "inf"]
 
 
@@ -481,6 +491,27 @@ def test_threads_flag_only_where_a_pool_runs(name, tmp_path, capsys):
         assert dispatch(argv) == 1
         assert "--threads" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["spectrum", "smin-map", "tail", "area", "brown",
+                                  "stieltjes"])
+def test_each_pool_command_maps_its_trials_once(name, tmp_path, monkeypatch, capsys):
+    # the benchmark's traced pool.tasks counts these maps
+    import brownlab.pseudospec as pseudospec
+
+    calls = []
+    parallel_map = pseudospec.parallel_map
+
+    def counting_map(fn, items, threads=None):
+        items = list(items)
+        calls.append(len(items))
+        return parallel_map(fn, items, threads)
+
+    monkeypatch.setattr(pseudospec, "parallel_map", counting_map)
+    trials = 100 if name == "tail" else 3
+    argv = _with([name, *_CONTRACT_BASE[name]], "--trials", str(trials))
+    assert dispatch(argv + ["-o", str(tmp_path)]) == 0
+    assert calls == [trials]
 
 
 # ------------------------------------------------------------ subcommands

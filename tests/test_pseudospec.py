@@ -11,7 +11,6 @@ from brownlab.pseudospec import (
     fit_tail_slope,
     pseudospectrum_area,
     smin_map_full,
-    smin_shifted_tail,
     tail_estimate,
     trial_tuple,
     wilson_interval,
@@ -176,26 +175,8 @@ def test_tail_json_round_trippable_fields():
 # ---------------------------------------------------------- shifted tails
 
 def test_shifted_tail_huge_ladder_saturates():
-    est = smin_shifted_tail(20, 0, np.array([15.0, 20.0]), 100, seed=7)
+    est = tail_estimate(parse("x1"), 20, 0, np.array([15.0, 20.0]), 100, seed=7)
     assert np.all(est.hits == est.trials)
-
-
-def test_shifted_tail_accepts_identity_shift():
-    est = smin_shifted_tail(15, np.eye(15), np.logspace(-3, -1, 4), 100, seed=8)
-    assert est.trials == 100
-
-
-def test_shifted_tail_scalar_shift_is_a_multiple_of_identity():
-    ladder = np.logspace(-3, -1, 4)
-    scalar = smin_shifted_tail(15, 1.0, ladder, 100, seed=8)
-    matrix = smin_shifted_tail(15, np.eye(15), ladder, 100, seed=8)
-    assert scalar.hits.tobytes() == matrix.hits.tobytes()
-    assert smin_shifted_tail(5, 1.0, [0.1, 0.2], 100, seed=1).trials == 100
-
-
-def test_shifted_tail_shift_shape_validated():
-    with pytest.raises(ValueError):
-        smin_shifted_tail(10, np.eye(4), np.array([0.1]), 100, seed=9)
 
 
 # ------------------------------------------------------------------ area
@@ -256,6 +237,15 @@ def test_tail_estimate_from_samples_counts():
     samples = np.array([0.5, 1.5, 2.5, 3.5])
     est = TailEstimate.from_samples(samples, np.array([1.0, 2.0, 4.0]), 0j, 4)
     assert est.hits.tolist() == [1, 2, 4]
+
+
+@pytest.mark.parametrize("ladder", [[np.nan], [0.1, np.nan], [np.nan, 0.1], [0.1, np.inf]],
+                         ids=["nan", "rung-nan", "nan-rung", "rung-inf"])
+def test_tail_estimate_from_samples_rejects_non_finite_ladder(ladder):
+    # a comparison with nan is false, so an ordering check alone lets it through
+    samples = np.linspace(0.01, 1.0, 100)
+    with pytest.raises(ValueError, match="eps ladder must be finite"):
+        TailEstimate.from_samples(samples, np.array(ladder), 0j, 4)
 
 
 def test_tail_estimate_from_samples_rejects_non_finite():
