@@ -273,8 +273,8 @@ def pseudospectrum_area(p, N, eps, omega, trials, seed, threads=None):
     Fraction of grid nodes with smin(P - z) <= eps, averaged over trials,
     times the area of the rectangle.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ValueError("eps must be positive and finite")
     fields = _smin_fields(p, N, omega, trials, seed, threads)
     fractions = [np.mean(f <= eps) for f in fields]
     return float(np.mean(fractions) * omega.area)

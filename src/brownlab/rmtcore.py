@@ -98,12 +98,14 @@ def esd(M):
 def shifted_svals(P, shifts):
     """Singular values of P - z for each shift z, one descending row per shift.
 
-    One values-only SVD per shift, so only one shifted copy of P is alive
-    at a time however many shifts there are. P - z is taken as complex128,
-    as every P from `evaluate` already is.
+    One values-only SVD per shift. Each P - z is written into one complex128
+    copy of P by replacing its diagonal, so only that copy is alive however
+    many shifts there are.
     """
-    eye = np.eye(P.shape[0])
-    out = np.empty((len(shifts), P.shape[0]))
+    A = np.array(P, dtype=complex)
+    diag = A.diagonal().copy()
+    out = np.empty((len(shifts), len(A)))
     for k, z in enumerate(shifts):
-        out[k] = svdvals(P - z * eye)
+        np.fill_diagonal(A, diag - z)
+        out[k] = svdvals(A)
     return out

@@ -295,8 +295,8 @@ def delta_report(U, s_vectors, threshold):
     permutations of one tuple can give, go to the earlier scan position
     whatever the chunking.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < np.inf:  # NaN fails too
+        raise ValueError("threshold must be positive and finite")
     s_mat = np.atleast_2d(np.asarray(s_vectors, dtype=complex))
     r, N = U.r, U.N
     d = r + 1

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,11 @@ from brownlab.brown import (
     log_potential,
     stieltjes,
 )
+from brownlab.linearize import build_linearization
 from brownlab.ncpoly import parse
 from brownlab.pseudospec import GridSpec, pseudospectrum_area, smin_map_full, trial_matrix
+from brownlab.rmtcore import shifted_svals
+from brownlab.walks import WalkBasis, delta_report
 
 ANTI = parse("x1*x2 + x2*x1")
 
@@ -68,23 +72,89 @@ _ROUTE_GRID = GridSpec(-2, 2, -2, 2, 5, 5)  # nodes at 0, +-1, +-2 on each axis
 def test_auto_route_certifies_only_what_it_can_prove(P, floor, fallbacks, floored,
                                                      monkeypatch):
     monkeypatch.setattr(pseudospec, "trial_matrix", lambda p, N, seed, trial: P)
-    svd_calls = []
+    svd_shifts = []
     svd = brown.shifted_svals
 
-    def counting_svd(*a, **k):
-        svd_calls.append(1)
-        return svd(*a, **k)
+    def counting_svd(P, shifts):
+        svd_shifts.append(len(shifts))
+        return svd(P, shifts)
 
     monkeypatch.setattr(brown, "shifted_svals", counting_svd)
     N = P.shape[0]
     auto = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="auto")
-    assert len(svd_calls) == fallbacks
+    assert sum(svd_shifts) == auto.meta["exact_nodes"] == fallbacks
     exact = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="svd")
     assert np.array_equal(auto.truncated_fraction, exact.truncated_fraction)
     assert auto.truncated_fraction.sum() == floored / N
     if fallbacks == _ROUTE_GRID.nx * _ROUTE_GRID.ny:
         assert np.array_equal(auto.h, exact.h)
     assert np.allclose(auto.h, exact.h, rtol=0, atol=1e-12)
+
+
+def _per_node_h(P, nodes_flat, floor, method):
+    """The per-node sweep the chunked one replaced: the reference it must equal."""
+    N = P.shape[0]
+    h = np.empty(len(nodes_flat))
+    trunc = np.zeros(len(nodes_flat))
+    exact_nodes = 0
+    if method == "auto":
+        lam, V = np.linalg.eig(P)
+        kappa = np.linalg.cond(V, "fro")
+        slack = np.sqrt(N) * np.linalg.norm(P @ V - V * lam) / np.linalg.norm(V)
+    for k, z in enumerate(nodes_flat):
+        if method == "auto":
+            dist = np.abs(lam - z)
+            if dist.min() / kappa - slack > brown._GUARD_MARGIN * floor:
+                h[k] = np.mean(np.log(dist))
+                continue
+        sv = shifted_svals(P, [z])[0]
+        h[k] = np.mean(np.log(np.maximum(sv, floor)))
+        trunc[k] = np.mean(sv <= floor)
+        exact_nodes += 1
+    return h, trunc, exact_nodes
+
+
+_BOX = (-2.5, 2.5, -2.5, 2.5)
+
+
+@pytest.mark.parametrize("N, n, trials, seed, floor, method", [
+    (5, 9, 2, 3, None, "auto"),      # 33 of 162 node-samples take the exact route
+    (12, 9, 2, 4, 1e-2, "auto"),     # the floor bites: every node is exact
+    (5, 9, 2, 3, None, "svd"),
+    (200, 41, 1, 1, None, "auto"),   # 11 chunks of 163 nodes, the last one short
+], ids=["mixed_routes", "floor_heavy", "svd", "brown_sweep"])
+def test_chunked_sweep_equals_per_node_loop(N, n, trials, seed, floor, method):
+    nodes = GridSpec(*_BOX, n, n).nodes().ravel()
+    floor = default_floor(N) if floor is None else floor
+    for t in range(trials):
+        P = trial_matrix(ANTI, N, seed, t)
+        h, trunc, exact = brown._h_one_sample(P, nodes, floor, method)
+        h_ref, trunc_ref, exact_ref = _per_node_h(P, nodes, floor, method)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(trunc, trunc_ref)
+        assert exact == exact_ref
+
+
+@pytest.mark.parametrize("N, n, seed, exact_nodes", [
+    (5, 9, 3, 33),
+    (200, 41, 1, 0),  # the brown-sweep benchmark's config
+], ids=["mixed_routes", "brown_sweep"])
+def test_exact_nodes_counts_the_svd_route(N, n, seed, exact_nodes):
+    fld = log_potential(ANTI, N, GridSpec(*_BOX, n, n), trials=2, seed=seed)
+    assert fld.meta["exact_nodes"] == exact_nodes
+
+
+def test_one_sample_sweep_memory_is_bounded():
+    # an unchunked N=200, 41x41 sweep holds 5.4 MB in |lambda - z| alone
+    P = trial_matrix(ANTI, 200, 1, 0)
+    nodes = GridSpec(*_BOX, 41, 41).nodes().ravel()
+    tracemalloc.start()
+    try:
+        brown._h_one_sample(P, nodes, default_floor(200), "auto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_monotone_in_floor_shared_samples():
@@ -261,6 +331,21 @@ def test_every_trial_loop_rejects_nonpositive_trials(run, trials):
     # one check, in pseudospec.trial_map, guards every loop
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run(trials)
+
+
+_WALK_BASIS = WalkBasis(N=2, r=1, U=np.eye(4, 2, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("run", [
+    lambda v: pseudospectrum_area(ANTI, 8, v, _GRID_3X3, 1, seed=11),
+    lambda v: log_potential(ANTI, 8, _GRID_3X3, 1, floor=v, seed=11),
+    lambda v: delta_report(_WALK_BASIS, build_linearization(ANTI).s_matrix(), v),
+    lambda v: stieltjes(ANTI, 8, 0.0, np.array([v]), 1, seed=11),
+], ids=["area_eps", "log_potential_floor", "delta_report_threshold", "stieltjes_eta"])
+def test_scale_parameters_must_be_positive_and_finite(run, bad):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        run(bad)
 
 
 # ------------------------------------------------------------- comparison
