@@ -30,7 +30,6 @@ from .linearize import (
 )
 from .pseudospec import (
     GridSpec,
-    GridField,
     TailEstimate,
     trial_tuple,
     trial_matrix,

@@ -2,10 +2,11 @@
 
 The spectral measure of P is recovered from the field
 h(z) = (1/N) sum_i log max(sigma_i(P - z), floor) by the distributional
-Laplacian: density = (1/2 pi) Lap h. The floor regularizes the log
-singularity; its default N^-6 mirrors a truncation of the smallest
-singular values far below any scale the samples reach, and the share of
-floored values is reported per node so regularization is visible.
+Laplacian: density = (1/2 pi) Lap h, on the interior nodes grid.interior().
+The floor regularizes the log singularity; its default N^-6 mirrors a
+truncation of the smallest singular values far below any scale the
+samples reach, and the share of floored values is reported per node so
+regularization is visible.
 
 Summing log sigma_i equals log |det(P - z)| = sum_i log |lambda_i - z|,
 so when no singular value can reach the floor the whole z-sweep needs just
@@ -20,7 +21,7 @@ singular value decomposition; method="svd" forces it everywhere.
 
 The sweep takes the nodes in chunks of _CHUNK_ENTRIES // N. In each chunk
 the bound is one boolean mask: the certified nodes take their logs in one
-array pass, and the rest go to one `shifted_svals` call, which still runs
+array pass, and the rest, if any, go to one `shifted_svals` call, which runs
 one values-only SVD per node. At N=200 on a 41x41 grid the sweep after
 `eig` takes about 7 ms per sample on one BLAS thread, against 17 ms for
 the former per-node loop, and the tracemalloc peak of a sample stays at
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pseudospec import GridField, GridSpec, trial_map
+from .pseudospec import GridSpec, trial_map
 from .rmtcore import shifted_svals
 
 __all__ = [
@@ -70,9 +71,6 @@ class LogPotentialField:
     floor: float
     meta: dict = field(default_factory=dict)
 
-    def h_field(self):
-        return GridField(self.grid, self.h)
-
     def truncation_summary(self):
         tf = self.truncated_fraction
         return {"max": float(tf.max()), "mean": float(tf.mean()),
@@ -96,6 +94,8 @@ def _h_one_sample(P, nodes_flat, floor, method):
         # reaches the floor, so h = (1/N) log |det(P - z)|, and every |lambda - z| > 0.
         certified = dist.min(axis=1) / kappa - slack > _GUARD_MARGIN * floor
         hk[certified] = np.log(dist[certified]).mean(axis=1)
+        if certified.all():
+            continue
         sv = shifted_svals(P, z[~certified])
         hk[~certified] = np.log(np.maximum(sv, floor)).mean(axis=1)
         tk[~certified] = (sv <= floor).mean(axis=1)
@@ -129,36 +129,26 @@ def log_potential(p, N, grid, trials, floor=None, seed=0, threads=None, method="
 class BrownEstimate:
     """Laplacian density estimate on the interior nodes of the h-grid.
 
-    Discretization noise can leave slightly negative cells; raw signed
-    values are preserved here for diagnostics, and clipping happens only
-    inside compare_esd_brown (see meta["clipping"]).
+    grid is the h-grid, and density sits on grid.interior(). Discretization
+    noise can leave slightly negative cells; the signed values are kept for
+    diagnostics, and only compare_esd_brown clips them to zero.
     """
 
     grid: GridSpec
     density: np.ndarray
     total_mass: float
-    meta: dict = field(default_factory=dict)
-
-    def density_field(self):
-        """The density on the grid of the interior nodes."""
-        g = self.grid
-        interior = GridSpec(
-            re_min=g.re_min + g.dx, re_max=g.re_max - g.dx,
-            im_min=g.im_min + g.dy, im_max=g.im_max - g.dy,
-            nx=g.nx - 2, ny=g.ny - 2,
-        )
-        return GridField(interior, self.density)
 
 
 def brown_estimate(fld):
     """Five-point-stencil Laplacian of h over 2 pi, cell-normalized.
 
     The boundary ring is dropped rather than one-sided; total_mass is
-    the cell-quadrature integral of the interior density.
+    the cell-quadrature integral of the interior density. The grid needs
+    at least 4 x 4 nodes, so that the interior nodes span a rectangle.
     """
     grid = fld.grid
-    if grid.nx < 3 or grid.ny < 3:
-        raise ValueError("brown_estimate needs at least a 3 x 3 grid")
+    if grid.nx < 4 or grid.ny < 4:
+        raise ValueError("brown_estimate needs at least a 4 x 4 grid")
     h = np.asarray(fld.h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("log-potential field contains non-finite values")
@@ -169,13 +159,7 @@ def brown_estimate(fld):
     )
     density = lap / (2 * np.pi)
     total = float(density.sum() * dx * dy)
-    meta = {
-        "clipping": "signed density preserved; negatives clipped to zero only "
-        "inside compare_esd_brown",
-        "floor": fld.floor,
-    }
-    meta.update(fld.meta)
-    return BrownEstimate(grid=grid, density=density, total_mass=total, meta=meta)
+    return BrownEstimate(grid=grid, density=density, total_mass=total)
 
 
 def stieltjes(p, N, z, eta_ladder, trials, seed, threads=None):

@@ -274,7 +274,7 @@ def _linearize_check(args, p):
 def _smin_map(args, p):
     med, mean, mn = smin_map_full(p, args.N, args.grid, args.trials, args.seed,
                                   threads=args.threads)
-    return ({"smin_map.csv": med.to_csv(extras={"mean": mean.values, "min": mn.values})},
+    return ({"smin_map.csv": args.grid.to_csv(med, {"mean": mean, "min": mn})},
             f"smin-map: {args.grid.nx}x{args.grid.ny} grid -> {Path(args.out, 'smin_map.csv')}")
 
 
@@ -302,8 +302,8 @@ def _brown(args, p):
                         seed=args.seed, threads=args.threads)
     est = brown_estimate(fld)
     return {
-        "logpot.csv": fld.h_field().to_csv(extras={"truncated_fraction": fld.truncated_fraction}),
-        "density.csv": est.density_field().to_csv(),
+        "logpot.csv": fld.grid.to_csv(fld.h, {"truncated_fraction": fld.truncated_fraction}),
+        "density.csv": est.grid.interior().to_csv(est.density),
         "brown.json": _json_text({
             "N": args.N, "trials": args.trials, "floor": fld.floor,
             "seed": args.seed, "total_mass": est.total_mass,

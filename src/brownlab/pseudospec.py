@@ -6,6 +6,8 @@ fresh Ginibre tuples: grid maps take the median over trials at each node,
 tail estimates count the empirical small-ball probabilities over an
 epsilon ladder together with Wilson intervals and a fitted log-log slope,
 and the area estimator integrates the indicator over a rectangle.
+GridSpec is the one grid type: a grid statistic is a plain (nx, ny)
+array, and GridSpec.to_csv writes it together with its node coordinates.
 
 One sample is drawn per trial and swept across all grid nodes, matching
 the fixed-matrix varying-z viewpoint and saving a factor nx*ny in
@@ -29,7 +31,6 @@ from .rmtcore import STREAM_GINIBRE, csv_text, ginibre_tuple, shifted_svals, str
 
 __all__ = [
     "GridSpec",
-    "GridField",
     "TailEstimate",
     "trial_tuple",
     "trial_matrix",
@@ -94,6 +95,26 @@ class GridSpec:
         im = self.im_min + self.dy * np.arange(self.ny)
         return re[:, None] + 1j * im[None, :]
 
+    def interior(self):
+        """The (nx - 2) x (ny - 2) grid of the nodes off the boundary ring."""
+        return GridSpec(
+            re_min=self.re_min + self.dx, re_max=self.re_max - self.dx,
+            im_min=self.im_min + self.dy, im_max=self.im_max - self.dy,
+            nx=self.nx - 2, ny=self.ny - 2,
+        )
+
+    def to_csv(self, values, extras=None):
+        """CSV text, rows 're,im,value' in row-major node order.
+
+        values is one (nx, ny) array, and extras maps column name to an
+        (nx, ny) array appended per row.
+        """
+        if np.shape(values) != (self.nx, self.ny):
+            raise ValueError("values shape must match the grid")
+        nodes = self.nodes()
+        return csv_text({"re": nodes.real, "im": nodes.imag,
+                         "value": values, **(extras or {})})
+
     def to_dict(self):
         return {
             "re_min": self.re_min,
@@ -103,27 +124,6 @@ class GridSpec:
             "nx": self.nx,
             "ny": self.ny,
         }
-
-
-@dataclass(frozen=True)
-class GridField:
-    """One scalar per grid node."""
-
-    spec: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.spec.nx, self.spec.ny):
-            raise ValueError("values shape must match the grid")
-
-    def to_csv(self, extras=None):
-        """CSV text, rows 're,im,value' in row-major node order.
-
-        extras maps column name to an (nx, ny) array appended per row.
-        """
-        nodes = self.spec.nodes()
-        return csv_text({"re": nodes.real, "im": nodes.imag,
-                         "value": self.values, **(extras or {})})
 
 
 def trial_tuple(num_vars, N, seed, trial):
@@ -249,14 +249,10 @@ def _smin_fields(p, N, grid, trials, seed, threads):
 
 
 def smin_map_full(p, N, grid, trials, seed, threads=None):
-    """Median, mean and min over trials of smin(P - z) per node."""
+    """Median, mean and min over trials of smin(P - z), each an (nx, ny) array."""
     data = _smin_fields(p, N, grid, trials, seed, threads)
-    shape = (grid.nx, grid.ny)
-    return (
-        GridField(grid, np.median(data, axis=0).reshape(shape)),
-        GridField(grid, np.mean(data, axis=0).reshape(shape)),
-        GridField(grid, np.min(data, axis=0).reshape(shape)),
-    )
+    return tuple(stat(data, axis=0).reshape(grid.nx, grid.ny)
+                 for stat in (np.median, np.mean, np.min))
 
 
 def tail_estimate(p, N, z, eps_ladder, trials, seed, threads=None):

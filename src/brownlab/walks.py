@@ -396,15 +396,13 @@ def det_tail_experiment(U, s_vectors, shift, eps_ladder, trials, seed):
     The law is exact, also for a rank-deficient Phi (the structured
     case), and memory is O((r+1)^2 trials). The reduction assumes
     circular Gaussian steps; any other step law needs the full
-    nN-dimensional walk. A scalar shift c stands for c times the
-    (r+1) x (r+1) identity.
+    nN-dimensional walk. The shift is an (r+1) x (r+1) matrix.
     """
     if trials < MIN_TAIL_TRIALS:
         raise ValueError(f"det tail experiments need trials >= {MIN_TAIL_TRIALS}")
     r, N = U.r, U.N
     d = r + 1
-    shift = shift * np.eye(d) if np.ndim(shift) == 0 else np.asarray(shift)
-    if shift.shape != (d, d):
+    if np.shape(shift) != (d, d):
         raise ValueError("shift must be (r+1) x (r+1)")
     vecs = _walk_draws(U, s_vectors, trials, seed)
     W = vecs.T.reshape(trials, d, d).transpose(0, 2, 1)  # a view of vecs

@@ -244,7 +244,7 @@ def test_criterion_9_degenerate_and_exact_cases():
     i0 = 2
     Ud = np.zeros((d * 8, d), dtype=complex)
     Ud[np.arange(d) * 8 + i0, :] = np.eye(d)
-    est = det_tail_experiment(WalkBasis(N=8, r=r, U=Ud), lin.s_matrix(), 0,
+    est = det_tail_experiment(WalkBasis(N=8, r=r, U=Ud), lin.s_matrix(), np.zeros((d, d)),
                               np.logspace(-12, -1, 5), 200, seed=193)
     checks["single-block walk det"] = bool(np.all(est.hits == est.trials))
 

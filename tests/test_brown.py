@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import brownlab.brown as brown
 import brownlab.pseudospec as pseudospec
@@ -139,9 +141,19 @@ def test_chunked_sweep_equals_per_node_loop(N, n, trials, seed, floor, method):
     (5, 9, 3, 33),
     (200, 41, 1, 0),  # the brown-sweep benchmark's config
 ], ids=["mixed_routes", "brown_sweep"])
-def test_exact_nodes_counts_the_svd_route(N, n, seed, exact_nodes):
+def test_exact_nodes_counts_the_svd_route(N, n, seed, exact_nodes, monkeypatch):
+    # a chunk whose nodes are all certified makes no SVD call at all
+    svd_shifts = []
+    svd = brown.shifted_svals
+
+    def counting_svd(P, shifts):
+        svd_shifts.append(len(shifts))
+        return svd(P, shifts)
+
+    monkeypatch.setattr(brown, "shifted_svals", counting_svd)
     fld = log_potential(ANTI, N, GridSpec(*_BOX, n, n), trials=2, seed=seed)
-    assert fld.meta["exact_nodes"] == exact_nodes
+    assert fld.meta["exact_nodes"] == sum(svd_shifts) == exact_nodes
+    assert 0 not in svd_shifts
 
 
 def test_one_sample_sweep_memory_is_bounded():
@@ -250,13 +262,18 @@ def test_circular_law_potential_recovers_uniform_density():
 
 
 def test_brown_estimate_validation():
-    g = GridSpec(-1, 1, -1, 1, 3, 3)
-    bad = _flat_field(g, np.full((3, 3), np.nan))
-    with pytest.raises(ValueError):
+    g = GridSpec(-1, 1, -1, 1, 4, 4)
+    bad = _flat_field(g, np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
         brown_estimate(bad)
-    tiny = GridSpec(-1, 1, -1, 1, 2, 3)
-    with pytest.raises(ValueError):
-        brown_estimate(_flat_field(tiny, np.zeros((2, 3))))
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 3), (3, 3), (3, 5), (5, 3)])
+def test_brown_estimate_refuses_a_grid_without_interior_rectangle(nx, ny):
+    # a 3-node side leaves one interior node, which spans no rectangle
+    g = GridSpec(-1, 1, -1, 1, nx, ny)
+    with pytest.raises(ValueError, match="at least a 4 x 4 grid"):
+        brown_estimate(_flat_field(g, np.zeros((nx, ny))))
 
 
 def test_translation_covariance():
@@ -272,12 +289,6 @@ def test_translation_covariance():
     d1 = brown_estimate(f1).density
     d2 = brown_estimate(f2).density
     assert np.allclose(d1, d2, atol=1e-10)
-
-
-def test_clipping_policy_recorded():
-    g = GridSpec(-1, 1, -1, 1, 5, 5)
-    est = brown_estimate(_flat_field(g, np.zeros((5, 5))))
-    assert "clip" in est.meta["clipping"]
 
 
 # -------------------------------------------------------------- stieltjes
@@ -397,9 +408,11 @@ def test_compare_clips_negative_density():
     assert 0.0 <= tv <= 1.0
 
 
-def test_density_field_sits_on_the_interior_nodes():
-    g = GridSpec(-1, 1, -2, 2, 6, 5)
-    est = brown_estimate(_flat_field(g, np.zeros((6, 5))))
-    fld = est.density_field()
-    assert fld.values.shape == (4, 3)
-    assert np.allclose(fld.spec.nodes(), g.nodes()[1:-1, 1:-1])
+@given(st.integers(4, 40), st.integers(4, 40))
+def test_density_sits_on_the_interior_grid(nx, ny):
+    g = GridSpec(-1, 1, -2, 2, nx, ny)
+    est = brown_estimate(_flat_field(g, np.zeros((nx, ny))))
+    inner = est.grid.interior()
+    assert est.density.shape == (inner.nx, inner.ny) == (nx - 2, ny - 2)
+    rows = inner.to_csv(est.density).splitlines()[1:]
+    assert len(rows) == (nx - 2) * (ny - 2)

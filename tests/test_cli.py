@@ -284,23 +284,33 @@ def test_memory_error_exits_two(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _no_memory(*a, **k):
-    raise MemoryError("Unable to allocate 149 PiB for an array")
-
-
-@pytest.mark.parametrize("cls, method, argv", [
-    # the second output each command serializes, after the first is ready
-    ("BrownEstimate", "density_field",
+@pytest.mark.parametrize("cls, method, csv_ready, argv", [
+    # the second output each command serializes; brown's fails once
+    # logpot.csv, its one CSV before density.csv, is ready
+    ("GridSpec", "interior", 1,
      ["brown", "--poly", "x1*x2+x2*x1", "--N", "8", "--grid", "-1,1,-1,1,5,5"]),
-    ("WalkBasis", "dump", ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8"]),
+    ("WalkBasis", "dump", 0, ["walks-delta", "--poly", "x1*x2+x2*x1", "--N", "8"]),
 ], ids=["brown", "walks-delta"])
-def test_memory_error_while_serializing_leaves_no_file(cls, method, argv, tmp_path, capsys,
-                                                       monkeypatch):
+def test_memory_error_while_serializing_leaves_no_file(cls, method, csv_ready, argv, tmp_path,
+                                                       capsys, monkeypatch):
     import brownlab
 
-    monkeypatch.setattr(getattr(brownlab, cls), method, _no_memory)
+    csvs, faults = [], []
+    to_csv = brownlab.GridSpec.to_csv
+
+    def counting_to_csv(*a, **k):
+        csvs.append(a)
+        return to_csv(*a, **k)
+
+    def no_memory(*a, **k):
+        faults.append(len(csvs))
+        raise MemoryError("Unable to allocate 149 PiB for an array")
+
+    monkeypatch.setattr(brownlab.GridSpec, "to_csv", counting_to_csv)
+    monkeypatch.setattr(getattr(brownlab, cls), method, no_memory)
     code = dispatch([*argv, "-o", str(tmp_path)])
     assert code == 2
+    assert faults == [csv_ready]  # first reached while serializing
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "numerical backend failure" in err
     assert list(tmp_path.iterdir()) == []

@@ -1,11 +1,13 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from brownlab.ncpoly import parse
 from brownlab.pseudospec import (
-    GridField,
     GridSpec,
     TailEstimate,
     fit_tail_slope,
@@ -48,16 +50,49 @@ def test_grid_rejects_degenerate_rectangle():
         GridSpec(0, 1, 0, 1, 0, 4)
 
 
-def test_grid_field_csv_format():
-    g = GridSpec(0, 1, 0, 1, 2, 2)
-    fld = GridField(g, np.arange(4.0).reshape(2, 2))
-    lines = fld.to_csv(extras={"min": np.zeros((2, 2))}).splitlines()
-    assert lines[0] == "re,im,value,min"
-    assert len(lines) == 5
-    assert lines[1].startswith("0,0,0")
-    assert lines[2].startswith("0,1,1")  # row-major: im varies fastest
+# grids of 4 x 4 to 40 x 40 nodes with finite sides
+_grids = st.builds(
+    lambda re_min, width, im_min, height, nx, ny:
+        GridSpec(re_min, re_min + width, im_min, im_min + height, nx, ny),
+    st.floats(-1e6, 1e6), st.floats(1e-6, 1e6), st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+    st.integers(4, 40), st.integers(4, 40))
+
+
+def _values(grid, seed):
+    return np.random.default_rng(seed).standard_normal((grid.nx, grid.ny))
+
+
+@given(_grids)
+def test_interior_nodes_are_the_nodes_off_the_boundary_ring(grid):
+    inner = grid.interior()
+    assert (inner.nx, inner.ny) == (grid.nx - 2, grid.ny - 2)
+    extent = max(abs(grid.re_min), abs(grid.re_max), abs(grid.im_min), abs(grid.im_max))
+    err = np.abs(inner.nodes() - grid.nodes()[1:-1, 1:-1]).max()
+    assert err <= 1e-12 * extent
+
+
+@given(_grids, st.integers(0, 2**32 - 1))
+def test_to_csv_parses_back_to_the_nodes_and_values(grid, seed):
+    values, extra = _values(grid, seed), _values(grid, seed + 1)
+    text = grid.to_csv(values, {"min": extra})
+    assert text.splitlines()[0] == "re,im,value,min"
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    nodes = grid.nodes().ravel()  # row-major: im varies fastest
+    assert np.array_equal(rows[:, 0], nodes.real)
+    assert np.array_equal(rows[:, 1], nodes.imag)
+    assert np.array_equal(rows[:, 2], values.ravel())
+    assert np.array_equal(rows[:, 3], extra.ravel())
+
+
+@given(_grids, st.integers(0, 2**32 - 1))
+def test_to_csv_refuses_values_off_the_grid_shape(grid, seed):
+    assume(grid.nx != grid.ny)
+    values = _values(grid, seed)
+    for bad in (values.ravel(), values.T):
+        with pytest.raises(ValueError, match="values shape must match the grid"):
+            grid.to_csv(bad)
     with pytest.raises(ValueError):
-        fld.to_csv(extras={"min": np.zeros(3)})
+        grid.to_csv(values, {"min": np.zeros(3)})
 
 
 # --------------------------------------------------------------- smin map
@@ -66,38 +101,39 @@ def test_smin_map_deterministic():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
     a = smin_map_full(PRODUCT, 12, g, trials=2, seed=5)[0]
     b = smin_map_full(PRODUCT, 12, g, trials=2, seed=5)[0]
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_smin_map_thread_count_invariance():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
     a = smin_map_full(PRODUCT, 10, g, trials=3, seed=6, threads=1)[0]
     b = smin_map_full(PRODUCT, 10, g, trials=3, seed=6, threads=3)[0]
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_smin_map_far_shift_dominates():
     g = GridSpec(1000, 1001, 0, 1, 1, 1)
-    fld = smin_map_full(PRODUCT, 30, g, trials=1, seed=7)[0]
-    assert abs(fld.values[0, 0] - 1000) <= 50  # within 5%
+    med = smin_map_full(PRODUCT, 30, g, trials=1, seed=7)[0]
+    assert abs(med[0, 0] - 1000) <= 50  # within 5%
 
 
 def test_smin_map_product_disk_profile():
     g = GridSpec(-2, 2, -2, 2, 9, 9)
-    fld = smin_map_full(PRODUCT, 100, g, trials=1, seed=11)[0]
+    med = smin_map_full(PRODUCT, 100, g, trials=1, seed=11)[0]
     zz = g.nodes()
     inside = np.abs(zz) <= 0.6
     boundary = (np.abs(zz.real) > 1.99) | (np.abs(zz.imag) > 1.99)
-    assert np.all(fld.values[inside] <= 0.1)
-    frac = np.mean(fld.values[boundary] >= 0.1)
+    assert np.all(med[inside] <= 0.1)
+    frac = np.mean(med[boundary] >= 0.1)
     assert frac >= 0.95
 
 
 def test_smin_map_full_statistics_are_consistent():
     g = GridSpec(-1, 1, -1, 1, 3, 3)
     med, mean, mn = smin_map_full(PRODUCT, 8, g, trials=5, seed=8)
-    assert np.all(mn.values <= med.values + 1e-15)
-    assert np.all(mn.values <= mean.values + 1e-15)
+    assert med.shape == mean.shape == mn.shape == (3, 3)
+    assert np.all(mn <= med + 1e-15)
+    assert np.all(mn <= mean + 1e-15)
 
 
 def test_smin_map_memory_holds_one_shifted_matrix_at_a_time():

@@ -726,7 +726,8 @@ def test_det_tail_degenerate_single_block_walk():
     # singular matrix times a unitary, so the determinant vanishes
     U = _single_block_basis(8, 2, i0=2)
     lin = build_linearization(ANTI)
-    est = det_tail_experiment(U, lin.s_matrix(), 0, np.logspace(-12, -1, 5), 200, 1)
+    est = det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), np.logspace(-12, -1, 5),
+                              200, 1)
     assert np.all(est.hits == est.trials)
 
 
@@ -742,24 +743,11 @@ def test_det_tail_unstructured_slope():
     assert est.slope >= 1 / 3 - 0.1
 
 
-def test_det_tail_scalar_shift_is_a_multiple_of_identity():
-    lin, _, _, U = _anti_setup(9)
-    walk = walks._walk_draws(U, lin.s_matrix(), 400, seed=8).T.reshape(400, 3, 3)
-    for c in (0.5, 0.2 - 0.3j):
-        # rungs at quantiles of the drawn |det|, so the top rung (the
-        # median) splits the trials whatever the basis
-        dets = np.abs(np.linalg.det(walk + c * np.eye(3)))
-        ladder = np.quantile(dets, np.linspace(0.05, 0.5, 6))
-        scalar = det_tail_experiment(U, lin.s_matrix(), c, ladder, 400, seed=8)
-        matrix = det_tail_experiment(U, lin.s_matrix(), c * np.eye(3), ladder, 400, seed=8)
-        assert 0 < scalar.hits[-1] < 400
-        assert np.array_equal(scalar.hits, matrix.hits)
-
-
 def test_det_tail_rate_one_above_max_det():
     _, _, _, U = _anti_setup(10)
     lin = build_linearization(ANTI)
-    est = det_tail_experiment(U, lin.s_matrix(), 0, np.array([100.0]), 150, seed=3)
+    est = det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), np.array([100.0]), 150,
+                              seed=3)
     assert est.hits[-1] == est.trials
 
 
@@ -767,14 +755,23 @@ def test_det_tail_requires_trials():
     _, _, _, U = _anti_setup(6)
     lin = build_linearization(ANTI)
     with pytest.raises(ValueError):
-        det_tail_experiment(U, lin.s_matrix(), 0, np.array([0.1]), 50, seed=4)
+        det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), np.array([0.1]), 50, seed=4)
+
+
+@pytest.mark.parametrize("shift", [0.5, np.eye(2), np.eye(3).ravel()],
+                         ids=["scalar", "2x2", "flat"])
+def test_det_tail_shift_must_be_r_plus_1_square(shift):
+    _, _, _, U = _anti_setup(6)
+    lin = build_linearization(ANTI)
+    with pytest.raises(ValueError, match=r"shift must be \(r\+1\) x \(r\+1\)"):
+        det_tail_experiment(U, lin.s_matrix(), shift, np.array([0.1]), 100, seed=4)
 
 
 def test_det_tail_deterministic():
     lin, _, _, U = _anti_setup(9)
     ladder = np.logspace(-5, -2, 5)
-    a = det_tail_experiment(U, lin.s_matrix(), 0, ladder, 300, seed=5)
-    b = det_tail_experiment(U, lin.s_matrix(), 0, ladder, 300, seed=5)
+    a = det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), ladder, 300, seed=5)
+    b = det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), ladder, 300, seed=5)
     assert np.array_equal(a.hits, b.hits)
 
 
@@ -842,7 +839,8 @@ def test_det_tail_runs_when_nN_is_below_the_walk_dimension():
     v = walks._walk_draws(U, lin.s_matrix(), 500, seed=63)
     assert v.shape == (9, 500)
     assert np.linalg.matrix_rank(v) == 2
-    est = det_tail_experiment(U, lin.s_matrix(), 0.5, np.logspace(-3, 0, 4), 500, seed=63)
+    est = det_tail_experiment(U, lin.s_matrix(), 0.5 * np.eye(3), np.logspace(-3, 0, 4),
+                              500, seed=63)
     assert np.all(np.diff(est.hits) >= 0) and est.hits[-1] <= 500
 
 
@@ -855,7 +853,8 @@ def test_det_tail_memory_stays_below_one_gaussian_block():
     walk_bytes = (U.r + 1) ** 2 * trials * 16
     tracemalloc.start()
     try:
-        det_tail_experiment(U, lin.s_matrix(), 0, np.logspace(-6, -1, 6), trials, seed=7)
+        det_tail_experiment(U, lin.s_matrix(), np.zeros((3, 3)), np.logspace(-6, -1, 6), trials,
+                            seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
