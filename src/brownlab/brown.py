@@ -23,9 +23,9 @@ The sweep takes the nodes in chunks of _CHUNK_ENTRIES // N. In each chunk
 the bound is one boolean mask: the certified nodes take their logs in one
 array pass, and the rest, if any, go to one `shifted_svals` call, which runs
 one values-only SVD per node. At N=200 on a 41x41 grid the sweep after
-`eig` takes about 7 ms per sample on one BLAS thread, against 17 ms for
-the former per-node loop, and the tracemalloc peak of a sample stays at
-1.98 MiB, where an unchunked |lambda - z| alone would take 5.4 MB.
+`eig` takes about 7 ms per sample on one BLAS thread, and the tracemalloc
+peak of a sample stays at 1.98 MiB, where an unchunked |lambda - z| alone
+would take 5.4 MB.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def stieltjes(p, N, z, eta_ladder, trials, seed, threads=None):
     def one(P):
         sv = shifted_svals(P, [z])[0]
         masses = sv * sv
-        return np.array([np.mean(1.0 / (1j * e - masses)) for e in eta])
+        return np.mean(1.0 / (1j * eta[:, None] - masses), axis=1)
 
     return np.mean(trial_map(one, p, N, trials, seed, threads), axis=0)
 

@@ -1,14 +1,15 @@
 """Batch command-line front end.
 
 Every subcommand writes its artifacts plus a manifest.json recording the
-exact argument vector, parameter set, seed, tool version, wall-clock
-duration, the BLAS build, and a sha256 digest per output file. Every
-command runs on one BLAS thread; `--threads`, on the commands that have
-it, sizes the trial pool. Re-running the same arguments reproduces
-byte-identical outputs regardless of --threads and of the BLAS thread
-count; `brownlab replay manifest.json -o DIR` re-executes a manifest and
-verifies the digests. Replay does not compare the BLAS record; it is
-there to explain a mismatch on a host with another BLAS build.
+exact argument vector, parameter set, seed (null for free-moment, which
+draws nothing), tool version, wall-clock duration, the BLAS build, and a
+sha256 digest per output file. Every command runs on one BLAS thread;
+`--threads`, on the commands that have it, sizes the trial pool.
+Re-running the same arguments reproduces byte-identical outputs
+regardless of --threads and of the BLAS thread count; `brownlab replay
+manifest.json -o DIR` re-executes a manifest and verifies the digests.
+Replay does not compare the BLAS record; it is there to explain a
+mismatch on a host with another BLAS build.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid, a star word too long for free-moment, an
@@ -504,7 +505,7 @@ def dispatch(argv):
         with _BLAS.one_thread():
             files, summary = cmd.run(args, p)
         if out is not None:
-            _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", 0),
+            _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", None),
                             t0, _save(out, files))
         print(summary)
         return 0

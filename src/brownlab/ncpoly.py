@@ -27,8 +27,6 @@ __all__ = [
     "circular_word_traces",
 ]
 
-Word = tuple  # tuple of variable indices in 1..num_vars
-
 
 class ParseError(ValueError):
     """Syntax or validation error in polynomial text, with byte offset."""
@@ -38,21 +36,25 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+@dataclass(frozen=True)
 class NcPoly:
     """Sparse non-commutative polynomial over complex coefficients.
 
-    Immutable. Zero coefficients are never stored; the degree is the
+    terms maps words (tuples over 1..num_vars) to coefficients. Construction
+    makes num_vars an int of at least 1 and every coefficient complex,
+    checks the letters, merges like words and drops zeros; the degree is the
     longest stored word (0 for the zero polynomial).
     """
 
-    __slots__ = ("num_vars", "terms")
+    num_vars: int
+    terms: dict
 
-    def __init__(self, num_vars, terms):
-        num_vars = int(num_vars)
+    def __post_init__(self):
+        num_vars = int(self.num_vars)
         if num_vars < 1:
             raise ValueError("num_vars must be a positive integer")
         clean = {}
-        for word, coeff in terms.items():
+        for word, coeff in self.terms.items():
             word = tuple(int(v) for v in word)
             coeff = complex(coeff)
             if coeff == 0:
@@ -62,23 +64,11 @@ class NcPoly:
                     raise ValueError(f"letter {letter} outside [1, {num_vars}]")
             clean[word] = clean.get(word, 0) + coeff
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(
-            self, "terms", {w: c for w, c in clean.items() if c != 0}
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("NcPoly is immutable")
+        object.__setattr__(self, "terms", {w: c for w, c in clean.items() if c != 0})
 
     @property
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NcPoly)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -96,53 +86,6 @@ class NcPoly:
                 w = w1 + w2
                 terms[w] = terms.get(w, 0) + c1 * c2
         return NcPoly(n, terms)
-
-    def with_num_vars(self, n):
-        return NcPoly(n, self.terms)
-
-    def sorted_terms(self):
-        """Terms in the canonical order (by word length, then word)."""
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in self.sorted_terms():
-            parts.append(_format_term(word, coeff, first=not parts))
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"NcPoly(n={self.num_vars}, {str(self)!r})"
-
-
-def _format_complex(c):
-    # Shortest form accepted back by the grammar: float, float'i', or (a+bi).
-    if c.imag == 0:
-        return repr(c.real)
-    if c.real == 0:
-        return repr(c.imag) + "i"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({c.real!r}{sign}{abs(c.imag)!r}i)"
-
-
-def _format_term(word, coeff, first):
-    vars_txt = "*".join(f"x{v}" for v in word)
-    if not word:
-        body = _format_complex(coeff)
-        return body if first else f"+ {body}" if not body.startswith("-") else f"- {body[1:]}"
-    lead, mag = "+", coeff
-    negative_real = coeff.imag == 0 and coeff.real < 0
-    negative_imag = coeff.real == 0 and coeff.imag < 0
-    if negative_real or negative_imag:
-        lead, mag = "-", -coeff
-    if mag == 1 and mag.imag == 0:
-        body = vars_txt
-    else:
-        body = f"{_format_complex(mag)}*{vars_txt}"
-    if first:
-        return body if lead == "+" else f"-{body}"
-    return f"{lead} {body}"
 
 
 _TOKEN_RE = re.compile(
@@ -219,7 +162,7 @@ class _Parser:
         kind, value, offset = self.tok
         if kind == "num":
             self._advance()
-            return NcPoly(self._n_default(), {(): value})
+            return NcPoly(1, {(): value})
         if kind == "var":
             if value == 0:
                 raise ParseError("variable index 0 is not allowed", offset)
@@ -228,7 +171,7 @@ class _Parser:
                     f"variable x{value} exceeds declared n={self.num_vars}", offset
                 )
             self._advance()
-            return NcPoly(max(value, self._n_default()), {(value,): 1.0})
+            return NcPoly(value, {(value,): 1.0})
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", offset)
@@ -242,9 +185,6 @@ class _Parser:
             return poly
         raise ParseError("expected coefficient, variable, or '('", offset)
 
-    def _n_default(self):
-        return self.num_vars if self.num_vars is not None else 1
-
 
 def parse(text, num_vars=None):
     """Parse polynomial text into canonical NcPoly form.
@@ -254,10 +194,9 @@ def parse(text, num_vars=None):
     Parentheses nest at most MAX_NESTING (100) deep.
     """
     poly = _Parser(text, num_vars).parse()
-    if num_vars is not None:
-        return poly.with_num_vars(num_vars)
-    top = max((max(w) for w in poly.terms if w), default=1)
-    return poly.with_num_vars(top)
+    if num_vars is None:
+        num_vars = max((max(w) for w in poly.terms if w), default=1)
+    return NcPoly(num_vars, poly.terms)
 
 
 def evaluate(p, X):

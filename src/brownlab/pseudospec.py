@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -116,14 +116,7 @@ class GridSpec:
                          "value": values, **(extras or {})})
 
     def to_dict(self):
-        return {
-            "re_min": self.re_min,
-            "re_max": self.re_max,
-            "im_min": self.im_min,
-            "im_max": self.im_max,
-            "nx": self.nx,
-            "ny": self.ny,
-        }
+        return asdict(self)
 
 
 def trial_tuple(num_vars, N, seed, trial):

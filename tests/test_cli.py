@@ -3,12 +3,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from brownlab.cli import (
@@ -453,10 +454,11 @@ def _with(argv, flag, value):
 
 
 def _assert_exit_contract(argv, out, replay_out, capsys):
-    # the exit code is 0, 1 or 2, a failed run leaves no file, and a run
-    # that succeeds replays; an exception escaping dispatch, a traceback at
-    # the command line, fails the test
-    code = dispatch(argv + ["-o", str(out)])
+    # argv names out as its output directory. The exit code is 0, 1 or 2, a
+    # failed run leaves no file, and a run that succeeds replays; an
+    # exception escaping dispatch, a traceback at the command line, fails
+    # the test
+    code = dispatch(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in capsys.readouterr().err, argv
     if code != 0:
@@ -472,9 +474,10 @@ def test_every_numeric_flag_keeps_the_exit_contract(name, tmp_path, capsys):
     # each numeric flag at 0, -1, nan and inf, with N at most 5
     for flag in _numeric_flags(COMMANDS[name]):
         for value in _NOT_POSITIVE:
-            _assert_exit_contract(_with([name, *_CONTRACT_BASE[name]], flag, value),
-                                  tmp_path / f"{flag}={value}",
-                                  tmp_path / f"replay{flag}={value}", capsys)
+            out = tmp_path / f"{flag}={value}"
+            _assert_exit_contract(_with([name, *_CONTRACT_BASE[name]], flag, value)
+                                  + ["-o", str(out)], out, tmp_path / f"replay{flag}={value}",
+                                  capsys)
 
 
 @pytest.mark.parametrize("name", ["smin-map", "area", "brown"])
@@ -486,8 +489,109 @@ def test_every_grid_part_keeps_the_exit_contract(name, tmp_path, capsys):
     for k in range(6):
         for value in _NOT_POSITIVE:
             grid = ",".join(value if i == k else part for i, part in enumerate(base))
-            _assert_exit_contract(_with(argv, "--grid", grid), tmp_path / f"{k}={value}",
+            out = tmp_path / f"{k}={value}"
+            _assert_exit_contract(_with(argv, "--grid", grid) + ["-o", str(out)], out,
                                   tmp_path / f"replay{k}={value}", capsys)
+
+
+# Values drawn for each flag of the command table. No size is large: N <= 8,
+# trials <= 200, grid sides <= 6, ladder counts <= 5 and threads <= 2, since
+# a huge size would allocate before any check fails. The values are of the
+# flag's type but need not be valid together (a trial count below the tail
+# floor, --j outside [0, N), a variable above --n); one flag in three argvs
+# then gets a value of _JUNK.
+_JUNK = st.sampled_from([*_NOT_POSITIVE, "junk"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_REAL = st.floats(-2, 2)
+_POSITIVE = st.floats(1e-12, 2).map(repr)
+_RUNG = st.floats(1e-6, 2)
+
+
+@st.composite
+def _complex_text(draw):
+    re_part, im_part = draw(_REAL), draw(_REAL)
+    return f"{re_part!r}{'-' if im_part < 0 else '+'}{abs(im_part)!r}i"
+
+
+@st.composite
+def _grid_text(draw):
+    re_min, im_min = draw(_REAL), draw(_REAL)
+    re_max, im_max = re_min + draw(st.floats(0.1, 2)), im_min + draw(st.floats(0.1, 2))
+    return ",".join([repr(v) for v in (re_min, re_max, im_min, im_max)]
+                    + [draw(_ints(1, 6)), draw(_ints(1, 6))])
+
+
+@st.composite
+def _ladder_text(draw):
+    if draw(st.booleans()):
+        return ",".join(repr(v) for v in sorted(draw(st.lists(_RUNG, min_size=1, max_size=5,
+                                                               unique=True))))
+    lo, ratio = draw(_RUNG), draw(st.floats(1.5, 1e4))
+    count = draw(st.sampled_from(["", ":0", ":1", ":3", ":5"]))
+    return f"{lo!r}:{lo * ratio!r}:log10{count}"
+
+
+_FLAG_VALUES = {
+    # quadratics in one draw of two, since only they linearize
+    "--poly": st.one_of(st.sampled_from(["x1*x2+x2*x1", "x1*x2 - 0.3*x2*x3 + 0.1*x3*x1",
+                                         "(1+2i)*x1*x1 - 0.25i*x2 + (0.5-1i)"]),
+                        st.sampled_from(["x1", "2", "0", "x1*x2*x1", "x1*@"])),
+    "--n": _ints(1, 4),
+    "--N": _ints(1, 8),
+    "--z": st.one_of(_REAL.map(repr), _complex_text()),
+    "--grid": _grid_text(),
+    "--trials": _ints(1, 200),
+    "--seed": _ints(0, 2**64),
+    "--threads": _ints(1, 2),
+    "--j": _ints(-1, 9),
+    "--tol": _POSITIVE,
+    "--floor": _POSITIVE,
+    "--threshold": _POSITIVE,
+    "--eta": _ladder_text(),
+    "--word": st.lists(st.sampled_from(["c1", "c1*", "c2", "c2*", "c0"]), max_size=6)
+    .map(" ".join),
+}
+# Every spelling of the output directory that argparse accepts
+_OUT_SPELLINGS = [["-o", "DIR"], ["--out", "DIR"], ["--out=DIR"], ["-oDIR"], ["--o", "DIR"],
+                  ["--ou", "DIR"]]
+
+
+@st.composite
+def _argvs(draw, name):
+    """A command line of command name: its flags drawn with values, in any
+    order, each at most twice, and an output directory named DIR."""
+    pairs = []
+    for flags, kwargs in COMMANDS[name].arguments:
+        flag = flags[-1]
+        if flag == "--out":
+            continue
+        if flag == "--eps":  # a ladder, except area's single level
+            values = _ladder_text() if kwargs["type"] is parse_ladder else _POSITIVE
+        else:
+            values = _FLAG_VALUES[flag]
+        for _ in range(draw(st.integers(1 if kwargs.get("required") else 0, 2))):
+            pairs.append([flag, draw(values)])
+    if draw(st.integers(0, 2)) == 0:
+        pairs[draw(st.integers(0, len(pairs) - 1))][1] = draw(_JUNK)
+    pairs.append(draw(st.sampled_from(_OUT_SPELLINGS)))
+    order = draw(st.permutations(range(len(pairs))))
+    return [name] + [tok for k in order for tok in pairs[k]]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_argv_keeps_the_exit_contract(name, data, capsys):
+    argv = data.draw(_argvs(name), label="argv")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        _assert_exit_contract([tok.replace("DIR", str(out)) for tok in argv], out,
+                              Path(tmp, "replay"), capsys)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -537,6 +641,14 @@ def test_free_moment_writes_manifest(tmp_path, capsys):
     assert manifest["command"] == "free-moment"
     data = json.loads((tmp_path / "freemoment.json").read_text())
     assert data["moment"] == 1
+
+
+def test_manifest_of_a_command_without_a_seed_records_null(tmp_path, capsys):
+    # free-moment draws nothing, so its manifest names no seed, not seed 0
+    assert dispatch(["free-moment", "--word", "c1 c1*", "-o", str(tmp_path / "fm")]) == 0
+    assert json.loads((tmp_path / "fm" / "manifest.json").read_text())["master_seed"] is None
+    assert dispatch(["spectrum", "--poly", "x1", "--N", "3", "-o", str(tmp_path / "sp")]) == 0
+    assert json.loads((tmp_path / "sp" / "manifest.json").read_text())["master_seed"] == 0
 
 
 def test_spectrum_row_count(tmp_path, capsys):

@@ -56,38 +56,48 @@ def test_parse_like_terms_collect():
     assert parse("x1*x2 - x1*x2").terms == {}
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x1*x2 + x2*x1",
-        "x1*x2 - 0.3*x2*x3 + 0.1*x3*x1",
-        "(1+2i)*x1*x1 - 0.25i*x2 + (0.5-1i)",
-        "0",
-        "-x1 + 2*x2*x2",
-    ],
-)
-def test_print_parse_round_trip(text):
-    p = parse(text)
-    assert parse(str(p), num_vars=p.num_vars) == p
-    # printing is canonical: a second round trip gives the same string
-    assert str(parse(str(p), num_vars=p.num_vars)) == str(p)
+def test_ncpoly_is_a_normalized_frozen_value():
+    p = NcPoly(2.0, {(1, 2): 1, ("1", "2"): 2, (2,): 0, (): 0.5j})
+    assert p.num_vars == 2 and type(p.num_vars) is int
+    assert p.terms == {(1, 2): 3 + 0j, (): 0.5j}
+    assert all(type(c) is complex for c in p.terms.values())
+    assert eval(repr(p)) == p
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(TypeError):
+        hash(p)
+    with pytest.raises(ValueError, match="positive"):
+        NcPoly(0, {})
+    with pytest.raises(ValueError, match="outside"):
+        NcPoly(1, {(2,): 1})
 
 
 @st.composite
 def polys(draw):
-    """Polynomials of degree <= 3 in up to 4 variables, any finite coefficients."""
+    """(n, terms) of degree <= 3 in up to 4 variables, any finite coefficients."""
     n = draw(st.integers(1, 4))
     words = st.lists(st.integers(1, n), max_size=3).map(tuple)
     coeffs = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.complex_numbers(allow_nan=False, allow_infinity=False),
     )
-    return NcPoly(n, draw(st.dictionaries(words, coeffs, max_size=6)))
+    return n, draw(st.dictionaries(words, coeffs, max_size=6))
+
+
+def _render(terms):
+    """Plain text of terms: each coefficient as (a+bi), times its letters."""
+    parts = []
+    for word, coeff in terms.items():
+        c = complex(coeff)
+        sign = "-" if c.imag < 0 else "+"
+        parts.append(f"({c.real!r}{sign}{abs(c.imag)!r}i)" + "".join(f"*x{v}" for v in word))
+    return " + ".join(parts) or "0"
 
 
 @given(polys())
-def test_print_parse_round_trip_property(p):
-    assert parse(str(p), num_vars=p.num_vars) == p
+def test_parse_of_rendered_terms_property(poly):
+    n, terms = poly
+    assert parse(_render(terms), num_vars=n) == NcPoly(n, terms)
 
 
 def test_parse_error_offsets():
