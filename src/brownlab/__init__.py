@@ -12,7 +12,6 @@ from .ncpoly import (
     parse_star_word,
     evaluate,
     free_moment,
-    circular_word_traces,
 )
 from .rmtcore import (
     stream,

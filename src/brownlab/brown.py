@@ -30,7 +30,7 @@ would take 5.4 MB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,14 @@ def default_floor(N):
 
 @dataclass(frozen=True)
 class LogPotentialField:
-    """Regularized log-potential h and the per-node floored share."""
+    """Regularized log-potential h, the per-node floored share, and the
+    number of node-samples that took the exact SVD route."""
 
     grid: GridSpec
     h: np.ndarray
     truncated_fraction: np.ndarray
     floor: float
-    meta: dict = field(default_factory=dict)
+    exact_nodes: int
 
     def truncation_summary(self):
         tf = self.truncated_fraction
@@ -106,8 +107,8 @@ def _h_one_sample(P, nodes_flat, floor, method):
 def log_potential(p, N, grid, trials, floor=None, seed=0, threads=None, method="auto"):
     """Average of (1/N) sum_i log max(sigma_i(P - z), floor) over trials.
 
-    meta["exact_nodes"] counts the node-samples that took the exact SVD
-    route, summed over the trials.
+    exact_nodes counts the node-samples that took the exact SVD route,
+    summed over the trials.
     """
     floor = default_floor(N) if floor is None else float(floor)
     if not 0 < floor < np.inf:  # NaN fails too
@@ -119,10 +120,8 @@ def log_potential(p, N, grid, trials, floor=None, seed=0, threads=None, method="
                         p, N, trials, seed, threads)
     h = np.mean([r[0] for r in results], axis=0).reshape(grid.nx, grid.ny)
     trunc = np.mean([r[1] for r in results], axis=0).reshape(grid.nx, grid.ny)
-    meta = {"N": N, "trials": trials, "seed": seed, "method": method,
-            "exact_nodes": sum(r[2] for r in results)}
-    return LogPotentialField(grid=grid, h=h, truncated_fraction=trunc,
-                             floor=floor, meta=meta)
+    return LogPotentialField(grid=grid, h=h, truncated_fraction=trunc, floor=floor,
+                             exact_nodes=sum(r[2] for r in results))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 validation error (bad flags, malformed
 polynomial, unsatisfiable grid, a star word too long for free-moment, an
 uncreatable output directory, a bad replay manifest or one whose argv
 only asks for help), 2 numerical backend failure. The parsers refuse
-non-finite numbers ('nan', 'inf'), a non-positive `--N`, `--trials` or
-`--threads`, a negative `--seed`, and a non-positive `area --eps`,
+non-finite numbers ('nan', 'inf'), a non-positive `--n`, `--N`, `--trials`
+or `--threads`, a negative `--seed`, and a non-positive `area --eps`,
 `linearize-check --tol`, `brown --floor` or `walks-delta --threshold`,
 and the walk commands refuse a `--j` outside [0, N), so those exit 1
 before any work is done.
@@ -373,7 +373,7 @@ def _trials(default):
 
 _POLY = (
     _arg("--poly", required=True, help="polynomial, e.g. 'x1*x2+x2*x1'"),
-    _arg("--n", type=int, default=None, help="declared number of variables"),
+    _arg("--n", type=parse_positive_int, default=None, help="declared number of variables"),
     _arg("--N", type=parse_positive_int, required=True, help="matrix size"),
 )
 _Z = _arg("--z", type=parse_complex, default=0j, help="shift, as a+bi")

@@ -12,15 +12,15 @@ import pytest
 
 import brownlab as bl
 from brownlab.linearize import SingularFactorError
-from brownlab.ncpoly import NcPoly, circular_word_traces, free_moment
-from brownlab.pseudospec import GridSpec, tail_estimate
-from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
+from brownlab.ncpoly import NcPoly, free_moment
+from brownlab.pseudospec import GridSpec, tail_estimate, trial_tuple
 from brownlab.walks import (
     WalkBasis,
     delta_report,
     det_tail_experiment,
     orthocomplement_basis,
 )
+from oracles import circular_word_traces
 
 ANTI = bl.parse("x1*x2 + x2*x1")
 
@@ -64,7 +64,7 @@ def test_criterion_1_schur_identity():
         if p.degree != 2:
             continue
         lin = bl.build_linearization(p)
-        X = ginibre_tuple(n, 6, stream(110, STREAM_GINIBRE, done))
+        X = trial_tuple(n, 6, 110, done)
         z = complex(*rng.normal(size=2))
         try:
             residual = bl.verify_schur(lin, X, z)
@@ -76,14 +76,13 @@ def test_criterion_1_schur_identity():
 
 
 def test_criterion_2_product_law_radial_cdf():
+    # the k = 2 case of Haagerup and Larsen's law for products of k
+    # circular elements (J. Funct. Anal. 2000): the Brown measure of c1 c2
+    # is rotation invariant with F(r) = r on [0, 1]
     crit = _Criterion(2, "product law radial CDF", 120.0)
     p = bl.parse("x1*x2")
-    N = 1000
-    moduli = []
-    for t in range(5):
-        X = ginibre_tuple(2, N, stream(120, STREAM_GINIBRE, t))
-        moduli.append(np.abs(bl.esd(bl.evaluate(p, X))))
-    r = np.sort(np.concatenate(moduli))
+    lams = bl.trial_map(bl.esd, p, 1000, 5, seed=120, threads=2)
+    r = np.sort(np.abs(np.concatenate(lams)))
     grid = np.linspace(0.0, 1.0, 2001)
     F_emp = np.searchsorted(r, grid, side="right") / len(r)
     ks = float(np.abs(F_emp - grid).max())
@@ -97,10 +96,7 @@ def test_criterion_3_esd_vs_brown_pipeline():
     fld = bl.log_potential(ANTI, N, grid, trials=20, floor=float(N) ** -6,
                            seed=33, threads=2)
     est = bl.brown_estimate(fld)
-    lams = []
-    for t in range(5):
-        X = ginibre_tuple(2, 2000, stream(44, STREAM_GINIBRE, t))
-        lams.append(bl.esd(bl.evaluate(ANTI, X)))
+    lams = bl.trial_map(bl.esd, ANTI, 2000, 5, seed=44, threads=2)
     tv = bl.compare_esd_brown(np.concatenate(lams), est)
     crit.finish(tv <= 0.15, f"total variation {tv:.4f} <= 0.15")
 
@@ -130,7 +126,7 @@ def test_criterion_5_free_moments_vs_monte_carlo():
     N, trials, max_len = 300, 10, 6
     acc = None
     for t in range(trials):
-        X = ginibre_tuple(2, N, stream(150, STREAM_GINIBRE, t))
+        X = trial_tuple(2, N, 150, t)
         table = circular_word_traces(X, max_len)
         if acc is None:
             acc = {w: v / trials for w, v in table.items()}
@@ -157,7 +153,7 @@ def test_criterion_6_structured_bases_are_rare():
     structured_count = 0
     smin_u0 = []
     for d in range(draws):
-        X = ginibre_tuple(2, N, stream(160, STREAM_GINIBRE, d))
+        X = trial_tuple(2, N, 160, d)
         U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 161 + d)
         rep = delta_report(U, lin.s_matrix(), threshold)
         structured_count += rep.structured
@@ -172,7 +168,7 @@ def test_criterion_7_determinant_anticoncentration():
     crit = _Criterion(7, "determinant anti-concentration", 180.0)
     lin = bl.build_linearization(ANTI)
     N = 100
-    X = ginibre_tuple(2, N, stream(170, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, N, 170, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 171)
     rep = delta_report(U, lin.s_matrix(), float(N) ** (-lin.rank / 2 - 10))
     delta = max(rep.max_abs_delta1, rep.max_abs_delta2)
@@ -218,7 +214,8 @@ def test_criterion_9_degenerate_and_exact_cases():
     # harmonic h: density identically zero up to stencil roundoff
     g2 = GridSpec(-1, 1, -1, 1, 9, 9)
     flat = bl.LogPotentialField(grid=g2, h=np.full((9, 9), 0.7),
-                                truncated_fraction=np.zeros((9, 9)), floor=1e-12)
+                                truncated_fraction=np.zeros((9, 9)), floor=1e-12,
+                                exact_nodes=0)
     checks["harmonic h zero density"] = (
         np.abs(bl.brown_estimate(flat).density).max() <= 1e-10
     )

@@ -31,7 +31,7 @@ ANTI = parse("x1*x2 + x2*x1")
 
 def _flat_field(grid, h, floor=1e-12):
     return LogPotentialField(
-        grid=grid, h=h, truncated_fraction=np.zeros_like(h), floor=floor
+        grid=grid, h=h, truncated_fraction=np.zeros_like(h), floor=floor, exact_nodes=0
     )
 
 
@@ -84,7 +84,7 @@ def test_auto_route_certifies_only_what_it_can_prove(P, floor, fallbacks, floore
     monkeypatch.setattr(brown, "shifted_svals", counting_svd)
     N = P.shape[0]
     auto = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="auto")
-    assert sum(svd_shifts) == auto.meta["exact_nodes"] == fallbacks
+    assert sum(svd_shifts) == auto.exact_nodes == fallbacks
     exact = log_potential(ANTI, N, _ROUTE_GRID, trials=1, floor=floor, method="svd")
     assert np.array_equal(auto.truncated_fraction, exact.truncated_fraction)
     assert auto.truncated_fraction.sum() == floored / N
@@ -152,7 +152,7 @@ def test_exact_nodes_counts_the_svd_route(N, n, seed, exact_nodes, monkeypatch):
 
     monkeypatch.setattr(brown, "shifted_svals", counting_svd)
     fld = log_potential(ANTI, N, GridSpec(*_BOX, n, n), trials=2, seed=seed)
-    assert fld.meta["exact_nodes"] == sum(svd_shifts) == exact_nodes
+    assert fld.exact_nodes == sum(svd_shifts) == exact_nodes
     assert 0 not in svd_shifts
 
 

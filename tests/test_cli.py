@@ -213,7 +213,8 @@ def test_negative_seed_is_refused_before_the_output_directory(name, tmp_path, ca
      "ladder values must be finite, positive and strictly increasing"),
     ("smin-map", "--grid", "1,2", "grid must be re_min,re_max,im_min,im_max,nx,ny"),
     ("tail", "--eps", "1:2:log10:0", "ladder needs count >= 1"),
-], ids=["z-nan", "eps-decreasing", "grid-two-parts", "eps-count-zero"])
+    ("spectrum", "--n", "0", "'0' is not a positive integer"),
+], ids=["z-nan", "eps-decreasing", "grid-two-parts", "eps-count-zero", "n-zero"])
 def test_parser_reasons_reach_stderr(name, flag, value, reason, tmp_path, capsys):
     argv = _with([name, *_CONTRACT_BASE[name]], flag, value) + ["-o", str(tmp_path)]
     assert dispatch(argv) == 1

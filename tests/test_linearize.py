@@ -14,7 +14,7 @@ from brownlab.linearize import (
     verify_schur,
 )
 from brownlab.ncpoly import NcPoly, evaluate, parse
-from brownlab.rmtcore import STREAM_GINIBRE, ginibre_tuple, stream
+from brownlab.pseudospec import trial_tuple
 
 
 def _random_degree2(rng, n):
@@ -130,7 +130,7 @@ def test_build_rank_deficient_rotation(text, n, r):
     assert np.abs(A.conj().T @ R[r:].T).max(initial=0.0) <= 1e-12
     recon = sum(np.outer(R[k - 1], np.conj(lin.s[k])) for k in range(1, r + 1))
     assert np.abs(recon - A).max() <= 1e-12
-    X = ginibre_tuple(n, 6, stream(12, STREAM_GINIBRE, 0))
+    X = trial_tuple(n, 6, 12, 0)
     assert verify_schur(lin, X, 0.3 + 0.1j) <= 1e-8
 
 
@@ -213,7 +213,7 @@ def test_assemble_corner_block_oracle():
     rng = np.random.default_rng(1)
     p = _random_degree2(rng, 3)
     lin = build_linearization(p)
-    X = ginibre_tuple(3, 4, stream(2, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, 4, 2, 0)
     z = 0.3 - 0.2j
     L = lin.blocks(X, z).dense()
     _, b, gamma = _split(p)
@@ -247,7 +247,7 @@ def _reference_Lz(lin, X, z):
        st.complex_numbers(max_magnitude=3.0))
 def test_assemble_equals_block_reference(p, N, trial, z):
     lin = build_linearization(p)
-    X = ginibre_tuple(p.num_vars, N, stream(10, STREAM_GINIBRE, trial))
+    X = trial_tuple(p.num_vars, N, 10, trial)
     assert np.array_equal(lin.blocks(X, z).dense(), _reference_Lz(lin, X, z))
 
 
@@ -258,7 +258,7 @@ def test_schur_factor_is_P_minus_z(text, z, N):
     # of the -Id block of L^z is p(X) - z, so the blocks are read right
     p = parse(text)
     lin = build_linearization(p)
-    X = ginibre_tuple(p.num_vars, N, stream(23, STREAM_GINIBRE, 0))
+    X = trial_tuple(p.num_vars, N, 23, 0)
     ref = evaluate(p, X) - z * np.eye(N)
     S = lin.blocks(X, z).schur()
     assert np.linalg.norm(S - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -276,7 +276,7 @@ def test_assemble_dimension_errors():
 
 def test_verify_schur_anticommutator():
     lin = build_linearization(parse("x1*x2 + x2*x1"))
-    X = ginibre_tuple(2, 6, stream(3, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 6, 3, 0)
     assert verify_schur(lin, X, 0.3 + 0.1j) <= 1e-9
 
 
@@ -291,7 +291,7 @@ def test_verify_schur_scalar_like_case():
 
 def test_verify_schur_figure_polynomial():
     lin = build_linearization(parse("x1*x2 - 0.3*x2*x3 + 0.1*x3*x1"))
-    X = ginibre_tuple(3, 5, stream(4, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, 5, 4, 0)
     assert verify_schur(lin, X, 0.2 + 0.3j) <= 1e-9
 
 
@@ -299,7 +299,7 @@ def test_verify_schur_figure_polynomial():
 @given(degree2_polys(), st.integers(2, 8), st.integers(0, 2**32 - 1),
        st.complex_numbers(max_magnitude=3.0))
 def test_verify_schur_random_property(p, N, trial, z):
-    X = ginibre_tuple(p.num_vars, N, stream(6, STREAM_GINIBRE, trial))
+    X = trial_tuple(p.num_vars, N, 6, trial)
     try:
         residual = verify_schur(build_linearization(p), X, z)
     except SingularFactorError:
@@ -323,7 +323,7 @@ def test_verify_schur_domination_violation():
     # whose inverse has norm 1e6, far above that of the whole (L^z)^{-1}
     lin = build_linearization(parse("x1*x2 + x2*x1"))
     lin = dataclasses.replace(lin, source=NcPoly(2, {(): 0.4 + 1e-6}))
-    X = ginibre_tuple(2, 5, stream(7, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 5, 7, 0)
     with pytest.raises(SchurMismatchError, match="domination"):
         verify_schur(lin, X, 0.4)
 
@@ -343,7 +343,7 @@ def test_gauge_invariance_of_corner_resolvent():
     s2[1], s2[2] = s2[2], s2[1]
     lin2 = Linearization(rank=2, s=tuple(s2), rotation=R2, gamma=lin.gamma, source=p)
 
-    X = ginibre_tuple(2, 5, stream(8, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 5, 8, 0)
     z = 0.25 + 0.1j
     N = 5
     inv1 = np.linalg.inv(lin.blocks(X, z).dense())[:N, :N]
@@ -370,7 +370,7 @@ def test_linearization_json_round_trip():
     for a, b in zip(back.s, lin.s):
         assert np.allclose(a, b)
     assert back.gamma == lin.gamma
-    X = ginibre_tuple(3, 4, stream(9, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, 4, 9, 0)
     assert np.allclose(back.blocks(X, 0.1).dense(), lin.blocks(X, 0.1).dense())
 
 

@@ -11,13 +11,12 @@ from brownlab.ncpoly import (
     NcPoly,
     ParseError,
     StarWord,
-    circular_word_traces,
     evaluate,
     free_moment,
     parse,
     parse_star_word,
-    star_word_matrix,
 )
+from oracles import circular_word_traces, star_word_matrix
 
 
 # ---------------------------------------------------------------- parsing

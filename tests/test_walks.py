@@ -12,14 +12,7 @@ from brownlab import walks
 from brownlab.linearize import LzBlocks, build_linearization
 from brownlab.ncpoly import NcPoly, evaluate, parse
 from brownlab.pseudospec import TailEstimate, trial_tuple
-from brownlab.rmtcore import (
-    STREAM_GINIBRE,
-    STREAM_HAAR,
-    STREAM_WALK,
-    ginibre_tuple,
-    haar_unitary,
-    stream,
-)
+from brownlab.rmtcore import STREAM_HAAR, STREAM_WALK, haar_unitary, stream
 from brownlab.walks import (
     DegenerateDrawError,
     WalkBasis,
@@ -34,7 +27,7 @@ ANTI = parse("x1*x2 + x2*x1")
 
 def _anti_setup(N, z=0.0, seed=5, draw_seed=9, j=0):
     lin = build_linearization(ANTI)
-    X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, N, seed, 0)
     Lz = lin.blocks(X, z).dense()
     U = orthocomplement_basis(lin.blocks(X, z), j, draw_seed)
     return lin, X, Lz, U
@@ -67,7 +60,7 @@ def test_orthocomplement_orthonormal_and_deterministic():
 def test_orthocomplement_single_block_case_is_haar():
     # N = 1: no retained columns, the basis is a bare Haar unitary
     lin = build_linearization(ANTI)
-    X = ginibre_tuple(2, 1, stream(1, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 1, 1, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 7)
     assert U.U.shape == (3, 3)
     assert np.abs(U.U @ U.U.conj().T - np.eye(3)).max() <= 1e-10
@@ -107,7 +100,7 @@ def test_certified_basis_spans_the_svd_complement(text, n, N, last, monkeypatch)
     lin = build_linearization(parse(text, num_vars=n))
     j = N - 1 if last else 0
     for seed in (1, 2, 3):
-        X = ginibre_tuple(n, N, stream(seed, STREAM_GINIBRE, 0))
+        X = trial_tuple(n, N, seed, 0)
         ref, _ = _svd_route(lin.blocks(X, 0.3 - 0.2j).dense(), j, seed, lin.rank)
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "svd", _no_svd)
@@ -133,7 +126,7 @@ def test_uncertified_draw_takes_the_exact_route_bit_for_bit(case, monkeypatch):
     # route returns its basis unchanged
     lin = build_linearization(ANTI)
     N, j, seed = 6, 2, 4
-    X = ginibre_tuple(2, N, stream(70, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, N, 70, 0)
     z = 0.0
     if case == "singular":
         for M in X:
@@ -165,7 +158,7 @@ def test_non_finite_Lz_raises_before_any_decomposition(bad, N, monkeypatch):
     # (LinAlgError, exit 2), not a draw; neither route may run on it. The
     # bad entry is entry (3N - 1, 0) of L^z, in its block C_2
     lin = build_linearization(ANTI)
-    blocks = lin.blocks(ginibre_tuple(2, N, stream(72, STREAM_GINIBRE, 0)), 0.3)
+    blocks = lin.blocks(trial_tuple(2, N, 72, 0), 0.3)
     blocks.C[1][N - 1, 0] = bad
     monkeypatch.setattr(np.linalg, "inv", _no_inverse)
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
@@ -176,7 +169,7 @@ def test_non_finite_Lz_raises_before_any_decomposition(bad, N, monkeypatch):
 def test_certified_route_inverts_only_the_N_by_N_schur_factor(monkeypatch):
     # one np.linalg.inv, of S = P - z, and no SVD: L^z is never inverted
     lin = build_linearization(ANTI)
-    X = ginibre_tuple(2, 12, stream(3, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 12, 3, 0)
     ref, _ = _svd_route(lin.blocks(X, 0.3).dense(), 4, 3, lin.rank)
     shapes = []
     numpy_inv = np.linalg.inv
@@ -198,7 +191,7 @@ def _no_assembly(*args, **kwargs):
 
 def test_certified_route_never_assembles_Lz(monkeypatch):
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
-    X = ginibre_tuple(3, 12, stream(5, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, 12, 5, 0)
     ref, _ = _svd_route(lin.blocks(X, 0.3 - 0.2j).dense(), 7, 5, lin.rank)
     monkeypatch.setattr(LzBlocks, "dense", _no_assembly)
     U = orthocomplement_basis(lin.blocks(X, 0.3 - 0.2j), 7, 5).U
@@ -211,7 +204,7 @@ def test_blockwise_kappa_equals_the_dense_frobenius_product(N):
     # kN + j over the blocks of the inverse, one N x N block at a time; a
     # dense inverse gives all of them at once
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
-    X = ginibre_tuple(3, N, stream(80, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, N, 80, 0)
     z, j = 0.3 - 0.2j, N - 1
     Lz = lin.blocks(X, z).dense()
     inv = np.linalg.inv(Lz)
@@ -234,7 +227,7 @@ def _quadratic_draws(draw):
     words += [(l, m) for l in range(1, n + 1) for m in range(1, n + 1)]
     p = NcPoly(n, {w: draw(coeff) for w in words})
     assume(p.degree == 2)
-    X = ginibre_tuple(n, N, stream(draw(st.integers(0, 2**32 - 1)), STREAM_GINIBRE, 0))
+    X = trial_tuple(n, N, draw(st.integers(0, 2**32 - 1)), 0)
     return p, X, draw(coeff), draw(st.integers(0, N - 1))
 
 
@@ -259,7 +252,7 @@ def test_degenerate_exactly_below_the_nullspace_cutoff(scale, degenerate):
     # ratio, refuses both, so the exact route decides
     lin = build_linearization(ANTI)
     N, j = 5, 0
-    X = ginibre_tuple(2, N, stream(71, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, N, 71, 0)
     for M in X:
         M[:, 1] *= scale
     z = lin.gamma
@@ -363,7 +356,7 @@ def test_projection_is_shift_plus_walk(text, j):
     p = parse(text)
     lin = build_linearization(p)
     N, z = 8, 0.3 - 0.1j
-    X = ginibre_tuple(p.num_vars, N, stream(11, STREAM_GINIBRE, 0))
+    X = trial_tuple(p.num_vars, N, 11, 0)
     Lz = lin.blocks(X, z).dense()
     U = orthocomplement_basis(lin.blocks(X, z), j, 12)
     A, K = lin.pencil(z)
@@ -380,7 +373,7 @@ def test_projection_scan_bounds_smin_of_Lz():
     lin = build_linearization(ANTI)
     N = 16
     for seed in (3, 4):
-        X = ginibre_tuple(2, N, stream(seed, STREAM_GINIBRE, 0))
+        X = trial_tuple(2, N, seed, 0)
         Lz = lin.blocks(X, 0.1 + 0.05j).dense()
         blocks = lin.blocks(X, 0.1 + 0.05j)
         smin_L = np.linalg.svd(Lz, compute_uv=False)[-1]
@@ -472,7 +465,7 @@ def test_delta_matches_brute_force_tensor():
 def test_delta_family1_nonempty_when_n_exceeds_r():
     # rank-1 polynomial in 2 variables: family 1 ranges over l = 2
     lin = build_linearization(parse("x1*x2"))
-    X = ginibre_tuple(2, 9, stream(13, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 9, 13, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.2), 0, 3)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-6)
@@ -493,7 +486,7 @@ def test_delta_witnesses_follow_scan_order_in_both_families(text, n, N):
     # the witnesses set the delta.json bytes, so the scan order is pinned
     # against the oracle for a case with both families present
     lin = build_linearization(parse(text, num_vars=n))
-    X = ginibre_tuple(n, N, stream(17, STREAM_GINIBRE, 0))
+    X = trial_tuple(n, N, 17, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 19)
     s = lin.s_matrix()
     rep = delta_report(U, s, threshold=1e-9)
@@ -543,7 +536,7 @@ def test_delta_sampled_bases_are_never_structured():
     N = 20
     threshold = float(N) ** (-lin.rank / 2 - 10)
     for draw in range(5):
-        X = ginibre_tuple(2, N, stream(20 + draw, STREAM_GINIBRE, 0))
+        X = trial_tuple(2, N, 20 + draw, 0)
         U = orthocomplement_basis(lin.blocks(X, 0.0), 0, 30 + draw)
         rep = delta_report(U, lin.s_matrix(), threshold)
         assert not rep.structured
@@ -554,7 +547,7 @@ def test_delta_report_independent_of_tuple_chunk(monkeypatch):
     # n = 3 > r = 2, so both families scan; a chunk of 7 divides neither
     # N^r = 100 nor N^(r+1) = 1000
     lin = build_linearization(parse("x1*x2 + x2*x1 + x3"))
-    X = ginibre_tuple(3, 10, stream(11, STREAM_GINIBRE, 0))
+    X = trial_tuple(3, 10, 11, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 12)
     whole = delta_report(U, lin.s_matrix(), threshold=1e-9)
     monkeypatch.setattr(walks, "_TUPLE_CHUNK", 7)
@@ -632,7 +625,7 @@ def test_delta_report_det_batches_cover_every_tuple_once(chunk, monkeypatch):
     # most _TUPLE_CHUNK (the witness re-check is one 2-d det, not a batch)
     lin = build_linearization(parse("x1*x2+x2*x1+x3", num_vars=3))
     N, r, n = 9, lin.rank, 3
-    X = ginibre_tuple(n, N, stream(21, STREAM_GINIBRE, 0))
+    X = trial_tuple(n, N, 21, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.3), 0, 22)
     sizes = []
     det = np.linalg.det
@@ -665,7 +658,7 @@ def test_delta_report_json_contains_witnesses():
 def test_walk_matrix_shape_and_sparsity_rank_one():
     # n = 2, r = 1: Phi is 2N x 4 with U^0 in the upper right block only
     lin = build_linearization(parse("x1*x2"))
-    X = ginibre_tuple(2, 5, stream(40, STREAM_GINIBRE, 0))
+    X = trial_tuple(2, 5, 40, 0)
     U = orthocomplement_basis(lin.blocks(X, 0.1), 0, 41)
     phi = walk_matrix(U, lin.s_matrix())
     assert phi.shape == (10, 4)
