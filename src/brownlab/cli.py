@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._pool import _BLAS, blas_record
+from ._openblas import blas_record, one_blas_thread
 from .brown import brown_estimate, log_potential, stieltjes
 from .linearize import (SchurMismatchError, SingularFactorError, build_linearization,
                         verify_schur)
@@ -502,7 +502,7 @@ def dispatch(argv):
                 out.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise CliError(f"cannot create output directory: {exc}") from exc
-        with _BLAS.one_thread():
+        with one_blas_thread():
             files, summary = cmd.run(args, p)
         if out is not None:
             _write_manifest(out, cmd.name, argv, _params(args), getattr(args, "seed", None),

@@ -188,8 +188,11 @@ class TailEstimate:
     @staticmethod
     def from_samples(samples, eps_ladder, z, N):
         """Ladder over finite samples; a non-finite one is a failed trial
-        that would otherwise count as a miss, so it raises ValueError."""
+        that would otherwise count as a miss, and an empty set has no
+        rate, so either raises ValueError."""
         samples = np.asarray(samples, dtype=float)
+        if samples.size == 0:
+            raise ValueError("no samples: a tail rate needs at least one trial")
         failed = int(np.count_nonzero(~np.isfinite(samples)))
         if failed:
             raise ValueError(f"{failed} of {samples.size} samples are not finite")

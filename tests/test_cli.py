@@ -947,10 +947,10 @@ def test_manifest_written_at_two_blas_threads_replays_at_one(argv, tmp_path):
 
 
 def test_blas_record_is_null_without_openblas(monkeypatch):
-    from brownlab import _pool
+    from brownlab import _openblas
 
-    monkeypatch.setattr(_pool, "symbol", lambda *a: None)
-    assert _pool.blas_record() == {"vendor": None}
+    monkeypatch.setattr(_openblas, "symbol", lambda *a: None)
+    assert _openblas.blas_record() == {"vendor": None}
 
 
 def test_manifest_contents_and_replay(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The LAPACK kernel: numpy's SVD bytes from zgesdd, without the GIL."""
 
+import ast
 import ctypes
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from brownlab import _openblas
 from brownlab._openblas import svdvals
-from brownlab._pool import _BLAS
 from brownlab.rmtcore import shifted_svals
 
 
@@ -28,7 +29,7 @@ def test_shifted_svals_equals_numpys_svd(N, seed, shifts, pinned):
     rng = np.random.default_rng(seed)
     P = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     if pinned:
-        with _BLAS.one_thread():
+        with _openblas.one_blas_thread():
             got, want = shifted_svals(P, shifts), _numpy_loop(P, shifts)
     else:
         got, want = shifted_svals(P, shifts), _numpy_loop(P, shifts)
@@ -73,3 +74,19 @@ def test_fallback_returns_the_same_bytes(monkeypatch):
     monkeypatch.setattr(_openblas, "_zgesdd", lambda: None)
     assert np.array_equal(svdvals(A), kernel)
 
+
+def test_only_openblas_binds_a_foreign_library():
+    # numpy's OpenBLAS is bound in one module; every other reaches it through _openblas
+    src = Path(_openblas.__file__).parent
+    binders = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                binders.add(path.name)
+    assert binders == {"_openblas.py"}

@@ -292,6 +292,12 @@ def test_tail_estimate_from_samples_rejects_non_finite():
         TailEstimate.from_samples(samples, np.array([1e-2, 1e-1]), 0j, 4)
 
 
+def test_tail_estimate_from_samples_rejects_no_samples():
+    # zero trials would write rate = 0/0 into tail.json
+    with pytest.raises(ValueError, match="no samples"):
+        TailEstimate.from_samples([], np.array([1e-2, 1e-1]), None, 5)
+
+
 # --------------------------------------------------------- trial addressing
 
 def test_trial_tuple_reads_the_trials_ginibre_substream():
